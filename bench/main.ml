@@ -1076,15 +1076,17 @@ let compile_report () =
 (* --- BENCH_interp.json: tree-walking vs closure-compiled interpreter.
    Compiles and synthesises SGESL and the heat-diffusion stencil once,
    then executes the host program against the bitstream under each
-   engine, measuring wall time, steps/second and (for the compiled
-   engine) closure-compilation time. The run is also a sanity gate: it
-   exits nonzero unless both engines produce byte-identical output,
-   identical simulated device times, identical step counts, and the
-   compiled engine is at least 3x faster. *)
+   engine, measuring wall time, steps/second, minor-heap words allocated
+   per step and (for the compiled engine) closure-compilation time. The
+   run is also a sanity gate: it exits nonzero unless both engines
+   produce byte-identical output, identical simulated device times,
+   identical step counts, and the compiled engine is at least 3x
+   faster. *)
 
 type interp_measurement = {
   im_wall_s : float;  (** Best-of-reps executor wall time. *)
   im_steps : int;
+  im_minor_words : float;  (** Minor-heap words allocated, first rep. *)
   im_compile_ms : float;  (** Closure-compilation time, first rep. *)
   im_output : string;
   im_device_time_s : float;
@@ -1103,6 +1105,7 @@ let measure_interp engine ~host ~bitstream ~reps =
   Gc.compact ();
   let best = ref infinity in
   let steps = ref 0 in
+  let minor_words = ref 0.0 in
   let compile_ms = ref 0.0 in
   let last = ref None in
   for rep = 1 to reps do
@@ -1111,16 +1114,19 @@ let measure_interp engine ~host ~bitstream ~reps =
     Gc.full_major ();
     let s0 = Metrics.counter_value "interp.steps" in
     let c0 = hist_sum "interp.compile_ms" in
+    let w0 = Gc.minor_words () in
     let sp = ref None in
     let r =
       Span.with_span_sp ~name:"bench.interp" (fun s ->
           sp := Some s;
           Executor.run ~engine ~host ~bitstream ())
     in
+    let words = Gc.minor_words () -. w0 in
     let wall = match !sp with Some s -> s.Span.dur_s | None -> 0.0 in
     if wall < !best then best := wall;
     if rep = 1 then begin
       steps := Metrics.counter_value "interp.steps" - s0;
+      minor_words := words;
       compile_ms := hist_sum "interp.compile_ms" -. c0
     end;
     last := Some r
@@ -1129,6 +1135,7 @@ let measure_interp engine ~host ~bitstream ~reps =
   {
     im_wall_s = !best;
     im_steps = !steps;
+    im_minor_words = !minor_words;
     im_compile_ms = !compile_ms;
     im_output = r.Executor.output;
     im_device_time_s = r.Executor.device_time_s;
@@ -1187,20 +1194,24 @@ let interp_report () =
     let steps_per_sec m =
       float_of_int m.im_steps /. Float.max 1e-9 m.im_wall_s
     in
+    let words_per_step m =
+      m.im_minor_words /. float_of_int (max 1 m.im_steps)
+    in
     Fmt.pr
-      "  %-16s tree %8.2f ms (%11.0f steps/s) | compiled %8.2f ms (%11.0f \
-       steps/s, compile %5.2f ms) | %5.2fx@."
+      "  %-16s tree %8.2f ms (%11.0f steps/s, %6.2f w/step) | compiled \
+       %8.2f ms (%11.0f steps/s, %6.2f w/step, compile %5.2f ms) | %5.2fx@."
       name
       (tree.im_wall_s *. 1e3)
-      (steps_per_sec tree)
+      (steps_per_sec tree) (words_per_step tree)
       (comp.im_wall_s *. 1e3)
-      (steps_per_sec comp) comp.im_compile_ms speedup;
+      (steps_per_sec comp) (words_per_step comp) comp.im_compile_ms speedup;
     let side m =
       Ftn_obs.Json.Obj
         [
           ("wall_s", Ftn_obs.Json.Float m.im_wall_s);
           ("steps", Ftn_obs.Json.Int m.im_steps);
           ("steps_per_sec", Ftn_obs.Json.Float (steps_per_sec m));
+          ("minor_words_per_step", Ftn_obs.Json.Float (words_per_step m));
           ("compile_ms", Ftn_obs.Json.Float m.im_compile_ms);
           ("device_time_s", Ftn_obs.Json.Float m.im_device_time_s);
         ]

@@ -3,13 +3,34 @@
    [compile_function] walks a func.func body once and produces a tree of
    [code : frame -> unit] closures: op-name dispatch, constant and
    attribute decoding, cmp-predicate resolution, loop-part destructuring,
-   result arities and callee resolution are all paid at compile time. SSA
-   values are renumbered into a per-function dense slot space so a frame
-   is a plain [Rtval.t array] rather than the tree-walker's hashtable.
+   result arities and callee resolution are all paid at compile time.
 
-   The engine preserves [Tree]'s observable contract exactly:
-   - [steps] is bumped once per executed op (including no-op terminators)
-     before the op runs, and the [max_steps] error fires at the same op;
+   Frames are typed slot files. Each SSA value gets a slot chosen from
+   its static type: index/iN values (i1 as 0/1) live in an [int array],
+   f16/f32/f64 values in a [float array], and everything else — memrefs,
+   kernel handles, streams, protocol tokens — in an [Rtval.t array]. The
+   compiled closures for arithmetic, comparisons, casts, math, loads,
+   stores and structured control flow read and write those arrays
+   directly, allocating nothing. Values are boxed to [Rtval.t] only at
+   the engine's boundaries: function parameters and results, call
+   arguments and results, and handler trampolines. An op whose operand or
+   result slots do not fit its typed form (or that is too rare to deserve
+   one) runs the tree-walker's [exec_default] on boxed values, so every
+   op keeps [Tree]'s semantics and error messages.
+
+   [arith.constant] results are materialised once per frame: each frame
+   starts as a copy of a template holding the function's constants, and
+   the constant op itself executes as a no-op.
+
+   The engine preserves [Tree]'s observable contract exactly for values
+   whose runtime kind matches their static type, as the frontend and the
+   runtime produce them (DESIGN.md §12 documents the exceptions, since
+   boxing follows a value's static type):
+   - [steps] counts one step per executed op (including no-op
+     terminators), the [max_steps] error fires at the same op, and after
+     an error [steps] holds the tree-walker's value. Steps are charged
+     once per maximal straight-line run of region-free, non-call,
+     non-intercepted ops (see [compile_block]);
    - handlers still intercept ops before default semantics — ops whose
      name matches a handler's [domain] compile to a trampoline that tries
      the matching handlers and falls back to the compiled default;
@@ -17,10 +38,9 @@
      value's id) and the same trip count;
    - f32 results round per operation, as in [Tree].
 
-   Structurally malformed ops (wrong operand count, bad predicate,
-   missing attribute) compile to a closure raising the tree-walker's
-   error message when — and only when — the op would execute, so dead
-   malformed code stays dead, as under the tree-walker.
+   Structurally malformed ops compile to a closure raising the
+   tree-walker's error message when — and only when — the op would
+   execute, so dead malformed code stays dead, as under the tree-walker.
 
    Compiled functions are cached per interpreter state, keyed by the
    func.func op's physical identity, so func.call sites and kernel
@@ -33,8 +53,21 @@ open Ftn_dialects
 module Span = Ftn_obs.Span
 module Metrics = Ftn_obs.Metrics
 
-type frame = Rtval.t array
+type frame = {
+  ints : int array;  (** index and iN values; i1 as 0/1. *)
+  floats : float array;  (** f16, f32 and f64 values. *)
+  refs : Rtval.t array;  (** Everything else, boxed. *)
+}
+
 type code = frame -> unit
+
+(* Where a value lives: its slot file and index. [Sb] is an i1 value in
+   [ints], boxed back as [Rtval.Bool]. *)
+type slot =
+  | Si of int
+  | Sb of int
+  | Sf of int
+  | Sr of int
 
 let error = Tree.error
 
@@ -42,6 +75,48 @@ let error = Tree.error
    fail if reached, mirroring the tree-walker's runtime errors. *)
 let raisef fmt =
   Fmt.kstr (fun s -> fun (_ : frame) -> raise (Tree.Interp_error s)) fmt
+
+(* The shared no-op. [compile_block] drops it from straight-line runs, so
+   constants and terminators cost a step but no call. *)
+let nop : code = fun _ -> ()
+
+let[@inline] geti f k = Array.unsafe_get f.ints k
+let[@inline] seti f k x = Array.unsafe_set f.ints k x
+let[@inline] getf f k = Array.unsafe_get f.floats k
+let[@inline] setf f k x = Array.unsafe_set f.floats k x
+
+(* [Rtval.round_to_elt Types.F32]. *)
+let[@inline] round32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+(* f32-typed arithmetic rounds to single precision per operation. *)
+let[@inline] round_if r32 x = if r32 then round32 x else x
+
+let box f = function
+  | Si k -> Rtval.Int (geti f k)
+  | Sb k -> Rtval.Bool (geti f k <> 0)
+  | Sf k -> Rtval.Float (getf f k)
+  | Sr k -> Array.unsafe_get f.refs k
+
+(* Unboxing converts like the [Rtval.as_*] the consuming op would apply. *)
+let unbox f s v =
+  match s with
+  | Si k | Sb k -> seti f k (Rtval.as_int v)
+  | Sf k -> setf f k (Rtval.as_float v)
+  | Sr k -> Array.unsafe_set f.refs k v
+
+let read_int f = function
+  | Si k | Sb k -> geti f k
+  | Sf k -> int_of_float (getf f k)
+  | Sr k -> Rtval.as_int (Array.unsafe_get f.refs k)
+
+let read_bool f = function
+  | Si k | Sb k -> geti f k <> 0
+  | s -> Rtval.as_bool (box f s)
+
+let set_int f s n =
+  match s with
+  | Si k | Sb k -> seti f k n
+  | s -> unbox f s (Rtval.Int n)
 
 (* Compiled entry for one function: the op and its lazily-built closure. *)
 type entry = {
@@ -52,17 +127,50 @@ type entry = {
 type cache = {
   mutable entries : (Op.t * entry) list;  (** Keyed by physical identity. *)
   scratch : Tree.frame;
-      (** Frame handed to handler trampolines, with the intercepted op's
-          operands bound. *)
+      (** Frame handed to handler trampolines and boxed fallbacks, with
+          the op's operands bound. *)
+  handlers_for : string -> Tree.handler list;
+      (** The state's handlers whose domain matches an op name, in order. *)
 }
 
 type Tree.cache += Compiled of cache
+
+(* One name-to-handlers table per state: names listed by some [Names]
+   domain map to every handler matching them; all other names get the
+   [All]-domain handlers. *)
+let handler_table (handlers : Tree.handler list) =
+  let matching name =
+    List.filter (fun h -> Tree.domain_matches h.Tree.h_domain name) handlers
+  in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun h ->
+      match h.Tree.h_domain with
+      | Tree.Names ns ->
+        List.iter
+          (fun n ->
+            if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n (matching n))
+          ns
+      | Tree.All -> ())
+    handlers;
+  let all =
+    List.filter
+      (fun h -> match h.Tree.h_domain with Tree.All -> true | _ -> false)
+      handlers
+  in
+  fun name -> Option.value ~default:all (Hashtbl.find_opt tbl name)
 
 let get_cache (st : Tree.state) =
   match st.Tree.exec_cache with
   | Compiled c -> c
   | _ ->
-    let c = { entries = []; scratch = Tree.new_frame () } in
+    let c =
+      {
+        entries = [];
+        scratch = Tree.new_frame ();
+        handlers_for = handler_table st.Tree.handlers;
+      }
+    in
     st.Tree.exec_cache <- Compiled c;
     c
 
@@ -74,14 +182,17 @@ let entry_for cache fn =
     cache.entries <- (fn, e) :: cache.entries;
     e
 
-(* Slot assignment: first reference wins a fresh dense index. Compilation
-   visits defs and uses in program order, so a function's params, op
-   results and block args all land in one contiguous slot space. *)
+(* Slot assignment: first reference wins a fresh index in the slot file
+   of the value's static type. *)
 type ctx = {
   st : Tree.state;
   cache : cache;
-  slots : (int, int) Hashtbl.t;
-  mutable nslots : int;
+  slots : (int, slot) Hashtbl.t;
+  mutable n_ints : int;
+  mutable n_floats : int;
+  mutable n_refs : int;
+  mutable consts : (slot * Rtval.t) list;
+      (** Constant values written into every new frame. *)
 }
 
 let slot ctx v =
@@ -89,48 +200,105 @@ let slot ctx v =
   match Hashtbl.find_opt ctx.slots id with
   | Some s -> s
   | None ->
-    let s = ctx.nslots in
-    ctx.nslots <- s + 1;
+    let s =
+      match Value.ty v with
+      | Types.I1 ->
+        ctx.n_ints <- ctx.n_ints + 1;
+        Sb (ctx.n_ints - 1)
+      | Types.I8 | Types.I16 | Types.I32 | Types.I64 | Types.Index ->
+        ctx.n_ints <- ctx.n_ints + 1;
+        Si (ctx.n_ints - 1)
+      | Types.F16 | Types.F32 | Types.F64 ->
+        ctx.n_floats <- ctx.n_floats + 1;
+        Sf (ctx.n_floats - 1)
+      | _ ->
+        ctx.n_refs <- ctx.n_refs + 1;
+        Sr (ctx.n_refs - 1)
+    in
     Hashtbl.add ctx.slots id s;
     s
 
 let slot_array ctx vs = Array.of_list (List.map (slot ctx) vs)
 
-(* Execute a compiled op sequence, accounting one step per op before it
-   runs — exactly [Tree.exec_op]'s bump-then-check-then-execute order. *)
-let run_seq (st : Tree.state) (codes : code array) (f : frame) =
+(* Charge one step and check the limit — [Tree.exec_op]'s prologue. *)
+let[@inline] step (st : Tree.state) =
+  st.Tree.steps <- st.Tree.steps + 1;
+  if st.Tree.steps > st.Tree.max_steps then error "step limit exceeded"
+
+let run_each st (codes : code array) f =
   for i = 0 to Array.length codes - 1 do
-    st.Tree.steps <- st.Tree.steps + 1;
-    if st.Tree.steps > st.Tree.max_steps then error "step limit exceeded";
+    step st;
     (Array.unsafe_get codes i) f
   done
+
+(* A straight-line run of [all] ops. Ops in such a run never touch
+   [steps] themselves, so when the whole run fits the budget its steps
+   are charged up front and only the [live] (non-no-op) closures are
+   called; [pos.(j)] is the step count through [live.(j)], which restores
+   the tree-walker's count if that op raises. Otherwise the run is
+   counted op by op, so [max_steps] fires at the same op. *)
+let straight_line (st : Tree.state) (all : code array) : code =
+  let k = Array.length all in
+  let live = ref [] and pos = ref [] in
+  Array.iteri
+    (fun i c ->
+      if c != nop then begin
+        live := c :: !live;
+        pos := (i + 1) :: !pos
+      end)
+    all;
+  let live = Array.of_list (List.rev !live) in
+  let pos = Array.of_list (List.rev !pos) in
+  let n = Array.length live in
+  if n = 0 then fun f ->
+    let s = st.Tree.steps in
+    if s + k <= st.Tree.max_steps then st.Tree.steps <- s + k
+    else run_each st all f
+  else fun f ->
+    let s = st.Tree.steps in
+    if s + k <= st.Tree.max_steps then begin
+      st.Tree.steps <- s + k;
+      let j = ref 0 in
+      try
+        while !j < n do
+          (Array.unsafe_get live !j) f;
+          incr j
+        done
+      with e ->
+        st.Tree.steps <- s + Array.unsafe_get pos !j;
+        raise e
+    end
+    else run_each st all f
 
 (* Parallel slot-to-slot copy. Reads all sources before writing (via a
    per-closure scratch buffer) so overlapping src/dst sets — a yield
    forwarding an iter arg — behave like the tree-walker's read-the-list-
    then-bind sequence. The scratch is safe to share across invocations:
    no interpreted code runs between its fill and drain. *)
-let copy_slots ~src ~dst =
+let copy_slots ~src ~dst : code =
   let n = Array.length src in
   if Array.length dst <> n then
     invalid_arg "Compile.copy_slots: length mismatch";
-  if n = 0 then fun (_ : frame) -> ()
-  else if n = 1 then (
-    let s = src.(0) and d = dst.(0) in
-    fun f -> f.(d) <- f.(s))
+  if n = 0 then nop
+  else if n = 1 then
+    match (src.(0), dst.(0)) with
+    | (Si s | Sb s), (Si d | Sb d) -> fun f -> seti f d (geti f s)
+    | Sf s, Sf d -> fun f -> setf f d (getf f s)
+    | Sr s, Sr d -> fun f -> Array.unsafe_set f.refs d (Array.unsafe_get f.refs s)
+    | s, d -> fun f -> unbox f d (box f s)
   else
     let tmp = Array.make n Rtval.Unit in
     fun f ->
       for k = 0 to n - 1 do
-        tmp.(k) <- f.(src.(k))
+        tmp.(k) <- box f src.(k)
       done;
       for k = 0 to n - 1 do
-        f.(dst.(k)) <- tmp.(k)
+        unbox f dst.(k) tmp.(k)
       done
 
 (* Write a runtime result list into result slots, with the tree-walker's
    arity error. *)
-let set_result_list op (dst : int array) (f : frame) rvs =
+let set_result_list op (dst : slot array) (f : frame) rvs =
   let n = Array.length dst in
   let err () =
     error "%s produced %d values for %d results" (Op.name op)
@@ -141,11 +309,54 @@ let set_result_list op (dst : int array) (f : frame) rvs =
     | v :: rest ->
       if k >= n then err ()
       else begin
-        f.(dst.(k)) <- v;
+        unbox f dst.(k) v;
         go (k + 1) rest
       end
   in
   go 0 rvs
+
+(* Linear element index of the [idx] slots into [buf]. Rank 0–2 accesses
+   check the indices against the buffer's extents and compute the
+   row-major offset directly; every other access, and every out-of-bounds
+   or rank-mismatched one, goes through [Rtval.linearize] so errors carry
+   exactly its messages. *)
+let index_n f (buf : Rtval.buffer) idx =
+  Rtval.linearize buf.Rtval.shape
+    (Array.to_list (Array.map (fun s -> geti f s) idx))
+
+let[@inline] index f (buf : Rtval.buffer) (idx : int array) =
+  match idx with
+  | [| s |] -> (
+    let i = geti f s in
+    match buf.Rtval.shape with
+    | [ d ] when i >= 0 && i < d -> i
+    | shape -> Rtval.linearize shape [ i ])
+  | [| s; t |] -> (
+    let i = geti f s and j = geti f t in
+    match buf.Rtval.shape with
+    | [ d0; d1 ] when i >= 0 && i < d0 && j >= 0 && j < d1 -> (i * d1) + j
+    | shape -> Rtval.linearize shape [ i; j ])
+  | [||] -> (
+    match buf.Rtval.shape with [] -> 0 | shape -> Rtval.linearize shape [])
+  | _ -> index_n f buf idx
+
+(* An integer-memory element as [Rtval.load] would read it, then
+   [Rtval.as_int]: i1 buffers yield 0/1. *)
+let[@inline] int_elt (buf : Rtval.buffer) (a : int array) k =
+  match buf.Rtval.elt with
+  | Types.I1 -> if a.(k) <> 0 then 1 else 0
+  | _ -> a.(k)
+
+let const_value = function
+  | Attr.Int (n, Types.I1) -> Some (Rtval.Bool (n <> 0))
+  | Attr.Int (n, _) -> Some (Rtval.Int n)
+  | Attr.Float (x, _) -> Some (Rtval.Float x)
+  | Attr.Bool b -> Some (Rtval.Bool b)
+  | _ -> None
+
+(* Raised at compile time when an op's slots do not fit its typed form;
+   the op then compiles to [boxed]. *)
+exception Untyped
 
 let rec force st cache entry =
   match entry.e_call with
@@ -171,39 +382,84 @@ and compile_function st cache fn =
   code
 
 and compile_fn_body st cache fn fname =
-  let ctx = { st; cache; slots = Hashtbl.create 64; nslots = 0 } in
+  let ctx =
+    {
+      st;
+      cache;
+      slots = Hashtbl.create 64;
+      n_ints = 0;
+      n_floats = 0;
+      n_refs = 0;
+      consts = [];
+    }
+  in
   let param_slots = slot_array ctx (Func_d.params fn) in
-  let codes = compile_seq ctx (Func_d.body fn) in
-  let nslots = ctx.nslots in
+  let body = compile_block ctx (Func_d.body fn) in
+  let template =
+    {
+      ints = Array.make ctx.n_ints 0;
+      floats = Array.make ctx.n_floats 0.0;
+      refs = Array.make ctx.n_refs Rtval.Unit;
+    }
+  in
+  List.iter (fun (s, v) -> unbox template s v) ctx.consts;
   let nparams = Array.length param_slots in
   fun args ->
-    let f = Array.make nslots Rtval.Unit in
-    let arity_err () =
-      error "function %s called with %d arguments (expects %d)" fname
-        (List.length args) nparams
+    let nargs = List.length args in
+    if nargs <> nparams then
+      error "function %s called with %d arguments (expects %d)" fname nargs
+        nparams;
+    let f =
+      {
+        ints = Array.copy template.ints;
+        floats = Array.copy template.floats;
+        refs = Array.copy template.refs;
+      }
     in
-    let rec bind k = function
-      | [] -> if k <> nparams then arity_err ()
-      | v :: rest ->
-        if k >= nparams then arity_err ()
-        else begin
-          f.(param_slots.(k)) <- v;
-          bind (k + 1) rest
-        end
-    in
-    bind 0 args;
+    List.iteri (fun k v -> unbox f param_slots.(k) v) args;
     try
-      run_seq st codes f;
+      body f;
       []
     with Tree.Return rvs -> rvs
 
-and compile_seq ctx ops = Array.of_list (List.map (compile_op ctx) ops)
+(* A block's ops, grouped into maximal straight-line runs of batchable
+   ops (see [straight_line]); region ops, calls and intercepted ops are
+   charged one step each before they run, since they execute other ops
+   or hand the state to a handler. *)
+and compile_block ctx ops : code =
+  let st = ctx.st in
+  let batchable op =
+    (match Op.regions op with [] -> true | _ :: _ -> false)
+    && (match Op.name op with "func.call" | "fir.call" -> false | _ -> true)
+    && match ctx.cache.handlers_for (Op.name op) with [] -> true | _ -> false
+  in
+  let flush run items =
+    match run with
+    | [] -> items
+    | _ -> straight_line st (Array.of_list (List.rev run)) :: items
+  in
+  let rec group run items = function
+    | [] -> List.rev (flush run items)
+    | op :: rest ->
+      let code = compile_op ctx op in
+      if batchable op then group (code :: run) items rest
+      else
+        let single f =
+          step st;
+          code f
+        in
+        group [] (single :: flush run items) rest
+  in
+  match group [] [] ops with
+  | [] -> nop
+  | [ one ] -> one
+  | items ->
+    let items = Array.of_list items in
+    fun f ->
+      for i = 0 to Array.length items - 1 do
+        (Array.unsafe_get items i) f
+      done
 
-(* Handler interception: ops whose name falls in some handler's domain get
-   a trampoline. The matching handlers are selected at compile time; at
-   run time the trampoline evaluates the operands, binds them into the
-   shared scratch tree-frame (handlers expect a [Tree.frame]) and tries
-   the handlers in order, falling back to the compiled default. *)
 and compile_op ctx op : code =
   let code = compile_op_dispatch ctx op in
   (* The profiling decision is paid at compile time: when enabled, the
@@ -219,16 +475,20 @@ and compile_op ctx op : code =
   end
   else code
 
+(* Handler interception: ops whose name falls in some handler's domain get
+   a trampoline. At run time it boxes the operands, binds them into the
+   shared scratch tree-frame (handlers expect a [Tree.frame]) and tries
+   the handlers in order, falling back to the compiled default. An
+   intercepted constant keeps writing its value, since a handler may have
+   overwritten the slot on an earlier execution. *)
 and compile_op_dispatch ctx op : code =
-  let base = compile_default ctx op in
-  let name = Op.name op in
-  match
-    List.filter
-      (fun h -> Tree.domain_matches h.Tree.h_domain name)
-      ctx.st.Tree.handlers
-  with
-  | [] -> base
+  match ctx.cache.handlers_for (Op.name op) with
+  | [] -> compile_default ctx op
   | hs ->
+    let base =
+      if String.equal (Op.name op) "arith.constant" then boxed ctx op
+      else compile_default ctx op
+    in
     let operand_binds =
       List.map (fun v -> (Value.id v, slot ctx v)) (Op.operands op)
     in
@@ -236,10 +496,14 @@ and compile_op_dispatch ctx op : code =
     let st = ctx.st in
     let scratch = ctx.cache.scratch in
     fun f ->
-      let vals = List.map (fun (_, s) -> f.(s)) operand_binds in
-      List.iter
-        (fun (id, s) -> Hashtbl.replace scratch.Tree.vals id f.(s))
-        operand_binds;
+      let vals =
+        List.map
+          (fun (id, s) ->
+            let v = box f s in
+            Hashtbl.replace scratch.Tree.vals id v;
+            v)
+          operand_binds
+      in
       let rec try_handlers = function
         | [] -> base f
         | h :: rest -> (
@@ -249,347 +513,281 @@ and compile_op_dispatch ctx op : code =
       in
       try_handlers hs
 
+(* The tree-walker's semantics on boxed values: operands are bound into
+   the scratch frame, [Tree.exec_default] runs, and the results are
+   unboxed into their slots. Only for ops without regions. *)
+and boxed ctx op : code =
+  let operands =
+    List.map (fun v -> (Value.id v, slot ctx v)) (Op.operands op)
+  in
+  let results = List.map (fun v -> (v, slot ctx v)) (Op.results op) in
+  let st = ctx.st and scratch = ctx.cache.scratch in
+  fun f ->
+    let vals =
+      List.map
+        (fun (id, s) ->
+          let v = box f s in
+          Hashtbl.replace scratch.Tree.vals id v;
+          v)
+        operands
+    in
+    Tree.exec_default st scratch op vals;
+    List.iter (fun (v, s) -> unbox f s (Tree.get scratch v)) results
+
 and compile_default ctx op : code =
-  let name = Op.name op in
-  let sl v = slot ctx v in
-  let d1 () = sl (Op.result1 op) in
-  let int_binop g =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        f.(d) <- Rtval.Int (g (Rtval.as_int f.(a)) (Rtval.as_int f.(b)))
-    | _ -> raisef "%s expects two operands" name
-  in
-  (* andi/ori/xori act on booleans when both operands are booleans. *)
-  let int_logic bool_g int_g =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        f.(d) <-
-          (match (f.(a), f.(b)) with
-          | Rtval.Bool x, Rtval.Bool y -> Rtval.Bool (bool_g x y)
-          | x, y -> Rtval.Int (int_g (Rtval.as_int x) (Rtval.as_int y)))
-    | _ -> raisef "%s expects two operands" name
-  in
-  (* Division operators check the divisor first, like the tree-walker. *)
-  let int_div g msg =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        let y = Rtval.as_int f.(b) in
-        if y = 0 then error "%s" msg
-        else f.(d) <- Rtval.Int (g (Rtval.as_int f.(a)) y)
-    | _ -> raisef "%s expects two operands" name
-  in
-  let float_binop g =
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      (* f32-typed arithmetic rounds to single precision per operation *)
-      (match Value.ty (Op.result1 op) with
-      | Types.F32 ->
-        fun f ->
-          f.(d) <-
-            Rtval.Float
-              (Rtval.round_to_elt Types.F32
-                 (g (Rtval.as_float f.(a)) (Rtval.as_float f.(b))))
-      | _ ->
-        fun f ->
-          f.(d) <- Rtval.Float (g (Rtval.as_float f.(a)) (Rtval.as_float f.(b))))
-    | _ -> raisef "%s expects two operands" name
-  in
-  let nop : code = fun _ -> () in
-  match name with
-  | "arith.constant" -> (
-    match Op.find_attr op "value" with
-    | Some (Attr.Int (n, Types.I1)) ->
-      let d = d1 () and rv = Rtval.Bool (n <> 0) in
-      fun f -> f.(d) <- rv
-    | Some (Attr.Int (n, _)) ->
-      let d = d1 () and rv = Rtval.Int n in
-      fun f -> f.(d) <- rv
-    | Some (Attr.Float (x, _)) ->
-      let d = d1 () and rv = Rtval.Float x in
-      fun f -> f.(d) <- rv
-    | Some (Attr.Bool b) ->
-      let d = d1 () and rv = Rtval.Bool b in
-      fun f -> f.(d) <- rv
-    | _ -> raisef "arith.constant without a value")
-  | "arith.addi" -> int_binop ( + )
-  | "arith.subi" -> int_binop ( - )
-  | "arith.muli" -> int_binop ( * )
-  | "arith.divsi" -> int_div ( / ) "integer division by zero"
-  | "arith.remsi" -> int_div (fun x y -> x mod y) "integer remainder by zero"
-  | "arith.maxsi" -> int_binop max
-  | "arith.minsi" -> int_binop min
-  | "arith.andi" -> int_logic ( && ) ( land )
-  | "arith.ori" -> int_logic ( || ) ( lor )
-  | "arith.xori" -> int_logic ( <> ) ( lxor )
-  | "arith.addf" -> float_binop ( +. )
-  | "arith.subf" -> float_binop ( -. )
-  | "arith.mulf" -> float_binop ( *. )
-  | "arith.divf" -> float_binop ( /. )
-  | "arith.maximumf" -> float_binop Float.max
-  | "arith.minimumf" -> float_binop Float.min
-  | "arith.negf" -> (
-    match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- Rtval.Float (-.Rtval.as_float f.(a))
-    | _ -> raisef "arith.negf expects one operand")
-  | "arith.cmpi" -> (
-    match (Op.operands op, Op.string_attr op "predicate") with
-    | [ a; b ], Some pred_s -> (
-      match Arith.int_pred_of_string pred_s with
-      | Some pred ->
-        let a = sl a and b = sl b in
-        let d = d1 () in
-        fun f ->
-          f.(d) <-
-            Rtval.Bool
-              (Arith.eval_int_pred pred (Rtval.as_int f.(a))
-                 (Rtval.as_int f.(b)))
-      | None -> raisef "unknown cmpi predicate %s" pred_s)
-    | _ -> raisef "malformed arith.cmpi")
-  | "arith.cmpf" -> (
-    match (Op.operands op, Op.string_attr op "predicate") with
-    | [ a; b ], Some pred_s -> (
-      match Arith.float_pred_of_string pred_s with
-      | Some pred ->
-        let a = sl a and b = sl b in
-        let d = d1 () in
-        fun f ->
-          f.(d) <-
-            Rtval.Bool
-              (Arith.eval_float_pred pred (Rtval.as_float f.(a))
-                 (Rtval.as_float f.(b)))
-      | None -> raisef "unknown cmpf predicate %s" pred_s)
-    | _ -> raisef "malformed arith.cmpf")
-  | "arith.select" -> (
-    match Op.operands op with
-    | [ c; t; e ] ->
-      let c = sl c and t = sl t and e = sl e in
-      let d = d1 () in
-      fun f -> f.(d) <- (if Rtval.as_bool f.(c) then f.(t) else f.(e))
-    | _ -> raisef "arith.select expects three operands")
-  | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
-  | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
-    match Op.operands op with
-    | [ a ] -> (
-      let a = sl a in
-      let d = d1 () in
-      match Value.ty (Op.result1 op) with
-      | Types.F32 ->
-        fun f ->
-          f.(d) <-
-            Rtval.Float (Rtval.round_to_elt Types.F32 (Rtval.as_float f.(a)))
-      | Types.F64 -> fun f -> f.(d) <- Rtval.Float (Rtval.as_float f.(a))
-      | Types.I1 -> fun f -> f.(d) <- Rtval.Bool (Rtval.as_bool f.(a))
-      | _ -> fun f -> f.(d) <- Rtval.Int (Rtval.as_int f.(a)))
-    | _ -> raisef "%s expects one operand" name)
-  | "math.sqrt" | "math.exp" | "math.log" | "math.sin" | "math.cos"
-  | "math.tanh" | "math.absf" -> (
-    match Op.operands op with
-    | [ a ] -> (
-      match Math_d.unary_fn name with
-      | Some g ->
-        let a = sl a in
-        let d = d1 () in
-        fun f -> f.(d) <- Rtval.Float (g (Rtval.as_float f.(a)))
-      | None -> raisef "cannot evaluate %s" name)
-    | _ -> raisef "%s expects one operand" name)
-  | "math.powf" -> (
-    match Op.operands op with
-    | [ a; b ] ->
-      let a = sl a and b = sl b in
-      let d = d1 () in
-      fun f ->
-        f.(d) <-
-          Rtval.Float (Float.pow (Rtval.as_float f.(a)) (Rtval.as_float f.(b)))
-    | _ -> raisef "math.powf expects two operands")
-  | "memref.alloca" | "memref.alloc" -> (
-    match Value.ty (Op.result1 op) with
-    | Types.Memref mi ->
-      let dyn_slots = List.map sl (Op.operands op) in
-      let d = sl (Op.result1 op) in
-      let elt = mi.Types.elt and mspace = mi.Types.memory_space in
-      fun f ->
-        let dynamic = List.map (fun s -> Rtval.as_int f.(s)) dyn_slots in
-        let shape = Tree.resolve_shape mi dynamic in
-        f.(d) <- Rtval.Buf (Rtval.alloc_buffer ~memory_space:mspace elt shape)
-    | _ -> raisef "allocation must produce a memref")
-  | "memref.dealloc" -> nop
-  | "memref.load" -> (
-    match Op.operands op with
-    | buf :: indices -> (
-      let b = sl buf in
-      let d = d1 () in
-      match List.map sl indices with
-      | [] -> fun f -> f.(d) <- Rtval.load (Rtval.as_buffer f.(b)) []
-      | [ i ] ->
-        fun f ->
-          f.(d) <- Rtval.load (Rtval.as_buffer f.(b)) [ Rtval.as_int f.(i) ]
-      | [ i; j ] ->
-        fun f ->
-          f.(d) <-
-            Rtval.load (Rtval.as_buffer f.(b))
-              [ Rtval.as_int f.(i); Rtval.as_int f.(j) ]
-      | idx ->
-        fun f ->
-          f.(d) <-
-            Rtval.load (Rtval.as_buffer f.(b))
-              (List.map (fun s -> Rtval.as_int f.(s)) idx))
-    | [] -> raisef "memref.load expects operands")
-  | "memref.store" -> (
-    match Op.operands op with
-    | value :: buf :: indices -> (
-      let v = sl value and b = sl buf in
-      match List.map sl indices with
-      | [] -> fun f -> Rtval.store (Rtval.as_buffer f.(b)) [] f.(v)
-      | [ i ] ->
-        fun f ->
-          Rtval.store (Rtval.as_buffer f.(b)) [ Rtval.as_int f.(i) ] f.(v)
-      | [ i; j ] ->
-        fun f ->
-          Rtval.store (Rtval.as_buffer f.(b))
-            [ Rtval.as_int f.(i); Rtval.as_int f.(j) ]
-            f.(v)
-      | idx ->
-        fun f ->
-          Rtval.store (Rtval.as_buffer f.(b))
-            (List.map (fun s -> Rtval.as_int f.(s)) idx)
-            f.(v))
-    | _ -> raisef "memref.store expects operands")
-  | "memref.dim" -> (
-    match Op.operands op with
-    | [ buf; idx ] ->
-      let b = sl buf and i = sl idx in
-      let d = d1 () in
-      fun f -> (
-        let bv = Rtval.as_buffer f.(b) in
-        match List.nth_opt bv.Rtval.shape (Rtval.as_int f.(i)) with
-        | Some n -> f.(d) <- Rtval.Int n
-        | None -> error "memref.dim out of range")
-    | _ -> raisef "memref.dim expects two operands")
-  | "memref.copy" -> (
-    match Op.operands op with
-    | [ src; dst ] ->
-      let s = sl src and d = sl dst in
-      fun f ->
-        Rtval.copy_into ~src:(Rtval.as_buffer f.(s))
-          ~dst:(Rtval.as_buffer f.(d))
-    | _ -> raisef "memref.copy expects two operands")
-  | "memref.dma_start" -> (
-    match Op.operands op with
-    | [ src; dst ] ->
-      let s = sl src and d = sl dst in
-      fun f ->
-        Rtval.copy_into ~src:(Rtval.as_buffer f.(s))
-          ~dst:(Rtval.as_buffer f.(d))
-    | _ -> raisef "memref.dma_start expects two operands")
-  | "memref.dma_wait" -> nop
-  | "memref.cast" -> (
-    match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(a)
-    | _ -> raisef "memref.cast expects one operand")
+  match Op.name op with
   | "scf.for" -> compile_for ctx op
   | "scf.if" -> compile_if ctx op
   | "scf.while" -> compile_while ctx op
-  | "scf.yield" | "scf.condition" | "omp.yield" | "omp.terminator" -> nop
   | "func.call" | "fir.call" -> compile_call ctx op
   | "func.return" -> (
-    match List.map sl (Op.operands op) with
+    match List.map (slot ctx) (Op.operands op) with
     | [] -> fun _ -> raise (Tree.Return [])
-    | srcs -> fun f -> raise (Tree.Return (List.map (fun s -> f.(s)) srcs)))
-  | "func.func" -> nop
-  | "builtin.module" -> nop
-  | "builtin.unrealized_conversion_cast" -> (
-    match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(a)
-    | _ -> raisef "unrealized cast expects one operand")
-  | "omp.map_info" -> (
-    match Op.operands op with
-    | var :: _ ->
-      let s = sl var in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(s)
-    | [] -> raisef "omp.map_info expects the variable operand")
-  | "omp.bounds_info" ->
-    let d = d1 () in
-    fun f -> f.(d) <- Rtval.Int 0
+    | srcs -> fun f -> raise (Tree.Return (List.map (box f) srcs)))
   | "omp.target" -> compile_region_entry ctx op "malformed omp.target"
-  | "omp.target_data" ->
-    let body = compile_seq ctx (Op.region_body op 0) in
-    let st = ctx.st in
-    fun f -> run_seq st body f
-  | "omp.target_enter_data" | "omp.target_exit_data" | "omp.target_update"
-    ->
-    nop
-  | "omp.parallel_do" -> compile_parallel_do ctx op
-  | "acc.copy_info" -> (
-    match Op.operands op with
-    | var :: _ ->
-      let s = sl var in
-      let d = d1 () in
-      fun f -> f.(d) <- f.(s)
-    | [] -> raisef "acc.copy_info expects the variable operand")
   | "acc.parallel" -> compile_region_entry ctx op "malformed acc.parallel"
-  | "acc.data" ->
-    let body = compile_seq ctx (Op.region_body op 0) in
-    let st = ctx.st in
-    fun f -> run_seq st body f
-  | "acc.enter_data" | "acc.exit_data" | "acc.update" -> nop
+  | "omp.target_data" | "acc.data" -> compile_block ctx (Op.region_body op 0)
+  | "omp.parallel_do" -> compile_parallel_do ctx op
   | "acc.loop" -> compile_acc_loop ctx op
-  | "acc.yield" | "acc.terminator" -> nop
-  | "hls.pipeline" | "hls.unroll" | "hls.interface" | "hls.array_partition"
-  | "hls.dataflow" ->
+  | "memref.dealloc" | "memref.dma_wait" | "scf.yield" | "scf.condition"
+  | "omp.yield" | "omp.terminator" | "func.func" | "builtin.module"
+  | "omp.target_enter_data" | "omp.target_exit_data" | "omp.target_update"
+  | "acc.enter_data" | "acc.exit_data" | "acc.update" | "acc.yield"
+  | "acc.terminator" | "hls.pipeline" | "hls.unroll" | "hls.interface"
+  | "hls.array_partition" | "hls.dataflow" ->
     nop
-  | "hls.axi_protocol" -> (
+  | _ -> ( try compile_typed ctx op with Untyped -> boxed ctx op)
+
+(* Typed forms of the region-free ops that matter for speed. Each raises
+   [Untyped] (falling back to [boxed]) unless the op is well formed and
+   its slots sit in the files the form expects. *)
+and compile_typed ctx op : code =
+  let sl = slot ctx in
+  let int_slot v = match sl v with Si k | Sb k -> k | _ -> raise Untyped in
+  let float_slot v = match sl v with Sf k -> k | _ -> raise Untyped in
+  let result () = match Op.results op with [ r ] -> r | _ -> raise Untyped in
+  let arg1 () = match Op.operands op with [ a ] -> a | _ -> raise Untyped in
+  let args2 () =
+    match Op.operands op with [ a; b ] -> (a, b) | _ -> raise Untyped
+  in
+  let ints2 () =
+    let a, b = args2 () in
+    (int_slot a, int_slot b, int_slot (result ()))
+  in
+  let floats1 () = (float_slot (arg1 ()), float_slot (result ())) in
+  let floats2 () =
+    let a, b = args2 () in
+    let r = result () in
+    (float_slot a, float_slot b, float_slot r, Value.ty r = Types.F32)
+  in
+  let float_binop g =
+    let a, b, d, r32 = floats2 () in
+    fun f -> setf f d (round_if r32 (g (getf f a) (getf f b)))
+  in
+  let pred of_string =
+    match Op.string_attr op "predicate" with
+    | Some p -> ( match of_string p with Some p -> p | None -> raise Untyped)
+    | None -> raise Untyped
+  in
+  match Op.name op with
+  | "arith.constant" -> (
+    match Option.bind (Op.find_attr op "value") const_value with
+    | Some rv ->
+      ctx.consts <- (sl (result ()), rv) :: ctx.consts;
+      nop
+    | None -> raise Untyped)
+  | "arith.addi" ->
+    let a, b, d = ints2 () in
+    fun f -> seti f d (geti f a + geti f b)
+  | "arith.subi" ->
+    let a, b, d = ints2 () in
+    fun f -> seti f d (geti f a - geti f b)
+  | "arith.muli" ->
+    let a, b, d = ints2 () in
+    fun f -> seti f d (geti f a * geti f b)
+  | "arith.divsi" ->
+    let a, b, d = ints2 () in
+    fun f ->
+      let y = geti f b in
+      if y = 0 then error "integer division by zero"
+      else seti f d (geti f a / y)
+  | "arith.remsi" ->
+    let a, b, d = ints2 () in
+    fun f ->
+      let y = geti f b in
+      if y = 0 then error "integer remainder by zero"
+      else seti f d (geti f a mod y)
+  | "arith.maxsi" ->
+    let a, b, d = ints2 () in
+    fun f ->
+      let x = geti f a and y = geti f b in
+      seti f d (if x >= y then x else y)
+  | "arith.minsi" ->
+    let a, b, d = ints2 () in
+    fun f ->
+      let x = geti f a and y = geti f b in
+      seti f d (if x <= y then x else y)
+  (* On 0/1 booleans, land/lor/lxor are the tree's &&, || and <>. *)
+  | "arith.andi" ->
+    let a, b, d = ints2 () in
+    fun f -> seti f d (geti f a land geti f b)
+  | "arith.ori" ->
+    let a, b, d = ints2 () in
+    fun f -> seti f d (geti f a lor geti f b)
+  | "arith.xori" ->
+    let a, b, d = ints2 () in
+    fun f -> seti f d (geti f a lxor geti f b)
+  | "arith.addf" ->
+    let a, b, d, r32 = floats2 () in
+    fun f -> setf f d (round_if r32 (getf f a +. getf f b))
+  | "arith.subf" ->
+    let a, b, d, r32 = floats2 () in
+    fun f -> setf f d (round_if r32 (getf f a -. getf f b))
+  | "arith.mulf" ->
+    let a, b, d, r32 = floats2 () in
+    fun f -> setf f d (round_if r32 (getf f a *. getf f b))
+  | "arith.divf" ->
+    let a, b, d, r32 = floats2 () in
+    fun f -> setf f d (round_if r32 (getf f a /. getf f b))
+  | "arith.maximumf" -> float_binop Float.max
+  | "arith.minimumf" -> float_binop Float.min
+  | "arith.negf" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (-.getf f a)
+  | "arith.cmpi" -> (
+    let a, b, d = ints2 () in
+    match pred Arith.int_pred_of_string with
+    | Arith.Eq -> fun f -> seti f d (Bool.to_int (geti f a = geti f b))
+    | Arith.Ne -> fun f -> seti f d (Bool.to_int (geti f a <> geti f b))
+    | Arith.Slt -> fun f -> seti f d (Bool.to_int (geti f a < geti f b))
+    | Arith.Sle -> fun f -> seti f d (Bool.to_int (geti f a <= geti f b))
+    | Arith.Sgt -> fun f -> seti f d (Bool.to_int (geti f a > geti f b))
+    | Arith.Sge -> fun f -> seti f d (Bool.to_int (geti f a >= geti f b)))
+  | "arith.cmpf" -> (
+    let a, b = args2 () in
+    let a = float_slot a and b = float_slot b and d = int_slot (result ()) in
+    match pred Arith.float_pred_of_string with
+    | Arith.Oeq -> fun f -> seti f d (Bool.to_int (getf f a = getf f b))
+    | Arith.One -> fun f -> seti f d (Bool.to_int (getf f a <> getf f b))
+    | Arith.Olt -> fun f -> seti f d (Bool.to_int (getf f a < getf f b))
+    | Arith.Ole -> fun f -> seti f d (Bool.to_int (getf f a <= getf f b))
+    | Arith.Ogt -> fun f -> seti f d (Bool.to_int (getf f a > getf f b))
+    | Arith.Oge -> fun f -> seti f d (Bool.to_int (getf f a >= getf f b)))
+  | "arith.select" -> (
     match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> f.(d) <- Rtval.Proto (Rtval.as_int f.(a))
-    | _ -> raisef "hls.axi_protocol expects one operand")
-  | "hls.stream_create" ->
-    let d = d1 () in
-    fun f -> f.(d) <- Rtval.StreamQ (Queue.create ())
-  | "hls.stream_read" -> (
+    | [ c; t; e ] -> (
+      let c = int_slot c in
+      match (sl t, sl e, sl (result ())) with
+      | (Si t | Sb t), (Si e | Sb e), (Si d | Sb d) ->
+        fun f -> seti f d (if geti f c <> 0 then geti f t else geti f e)
+      | Sf t, Sf e, Sf d ->
+        fun f -> setf f d (if geti f c <> 0 then getf f t else getf f e)
+      | Sr t, Sr e, Sr d ->
+        fun f ->
+          Array.unsafe_set f.refs d
+            (Array.unsafe_get f.refs (if geti f c <> 0 then t else e))
+      | _ -> raise Untyped)
+    | _ -> raise Untyped)
+  (* [Tree.eval_cast]: the result type picks the conversion. *)
+  | "arith.index_cast" | "arith.extsi" | "arith.trunci" | "arith.sitofp"
+  | "arith.fptosi" | "arith.extf" | "arith.truncf" -> (
+    let a = arg1 () and r = result () in
+    match (Value.ty r, sl a, sl r) with
+    | Types.F32, (Si s | Sb s), Sf d ->
+      fun f -> setf f d (round32 (float_of_int (geti f s)))
+    | Types.F32, Sf s, Sf d -> fun f -> setf f d (round32 (getf f s))
+    | Types.F64, (Si s | Sb s), Sf d ->
+      fun f -> setf f d (float_of_int (geti f s))
+    | Types.F64, Sf s, Sf d -> fun f -> setf f d (getf f s)
+    | Types.I1, (Si s | Sb s), Sb d ->
+      fun f -> seti f d (if geti f s <> 0 then 1 else 0)
+    | (Types.I8 | Types.I16 | Types.I32 | Types.I64 | Types.Index), s, Si d
+      -> (
+      match s with
+      | Si s | Sb s -> fun f -> seti f d (geti f s)
+      | Sf s -> fun f -> seti f d (int_of_float (getf f s))
+      | Sr _ -> raise Untyped)
+    | _ -> raise Untyped)
+  | "math.sqrt" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.sqrt (getf f a))
+  | "math.exp" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.exp (getf f a))
+  | "math.log" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.log (getf f a))
+  | "math.sin" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.sin (getf f a))
+  | "math.cos" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.cos (getf f a))
+  | "math.tanh" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.tanh (getf f a))
+  | "math.absf" ->
+    let a, d = floats1 () in
+    fun f -> setf f d (Float.abs (getf f a))
+  | "math.powf" ->
+    let a, b = args2 () in
+    let a = float_slot a and b = float_slot b and d = float_slot (result ()) in
+    fun f -> setf f d (Float.pow (getf f a) (getf f b))
+  | "memref.load" -> (
     match Op.operands op with
-    | [ a ] ->
-      let a = sl a in
-      let d = d1 () in
-      fun f -> (
-        match f.(a) with
-        | Rtval.StreamQ q ->
-          if Queue.is_empty q then error "read on an empty hls.stream"
-          else f.(d) <- Queue.pop q
-        | _ -> error "hls.stream_read expects a stream")
-    | _ -> raisef "hls.stream_read expects a stream")
-  | "hls.stream_write" -> (
+    | [] -> raise Untyped
+    | buf :: idx -> (
+      let b = match sl buf with Sr k -> k | _ -> raise Untyped in
+      let idx = Array.of_list (List.map int_slot idx) in
+      match sl (result ()) with
+      | Sf d ->
+        fun f ->
+          let buf = Rtval.as_buffer (Array.unsafe_get f.refs b) in
+          let k = index f buf idx in
+          (match buf.Rtval.mem with
+          | Rtval.F a -> setf f d a.(k)
+          | Rtval.I a -> setf f d (float_of_int (int_elt buf a k)))
+      | Si d | Sb d ->
+        fun f ->
+          let buf = Rtval.as_buffer (Array.unsafe_get f.refs b) in
+          let k = index f buf idx in
+          (match buf.Rtval.mem with
+          | Rtval.F a -> seti f d (int_of_float a.(k))
+          | Rtval.I a -> seti f d (int_elt buf a k))
+      | Sr _ -> raise Untyped))
+  | "memref.store" -> (
     match Op.operands op with
-    | [ a; v ] ->
-      let a = sl a and v = sl v in
-      fun f -> (
-        match f.(a) with
-        | Rtval.StreamQ q -> Queue.push f.(v) q
-        | _ -> error "hls.stream_write expects a stream and a value")
-    | _ -> raisef "hls.stream_write expects a stream and a value")
-  | other -> raisef "no semantics for operation %s" other
+    | value :: buf :: idx -> (
+      let b = match sl buf with Sr k -> k | _ -> raise Untyped in
+      let idx = Array.of_list (List.map int_slot idx) in
+      match sl value with
+      | Sf v ->
+        fun f ->
+          let buf = Rtval.as_buffer (Array.unsafe_get f.refs b) in
+          let k = index f buf idx in
+          (match buf.Rtval.mem with
+          | Rtval.F a -> (
+            match buf.Rtval.elt with
+            | Types.F32 -> a.(k) <- round32 (getf f v)
+            | _ -> a.(k) <- getf f v)
+          | Rtval.I a -> a.(k) <- int_of_float (getf f v))
+      | Si v ->
+        fun f ->
+          let buf = Rtval.as_buffer (Array.unsafe_get f.refs b) in
+          let k = index f buf idx in
+          (match buf.Rtval.mem with
+          | Rtval.F a -> a.(k) <- float_of_int (geti f v)
+          | Rtval.I a -> a.(k) <- geti f v)
+      | Sb v ->
+        fun f ->
+          let buf = Rtval.as_buffer (Array.unsafe_get f.refs b) in
+          let k = index f buf idx in
+          (match buf.Rtval.mem with
+          | Rtval.F _ -> invalid_arg "store: value/buffer type mismatch"
+          | Rtval.I a -> a.(k) <- geti f v)
+      | Sr _ -> raise Untyped)
+    | _ -> raise Untyped)
+  | _ -> raise Untyped
 
 (* omp.target / acc.parallel: bind the region's block args from the op's
    operands, then run the body inline. *)
@@ -603,11 +801,10 @@ and compile_region_entry ctx op malformed : code =
         ~src:(slot_array ctx (Op.operands op))
         ~dst:(slot_array ctx blk.Op.args)
     in
-    let body = compile_seq ctx blk.Op.body in
-    let st = ctx.st in
+    let body = compile_block ctx blk.Op.body in
     fun f ->
       bind f;
-      run_seq st body f
+      body f
   end
 
 and compile_call ctx op : code =
@@ -622,7 +819,7 @@ and compile_call ctx op : code =
       let entry = entry_for ctx.cache fn in
       let st = ctx.st and cache = ctx.cache in
       fun f ->
-        let args = List.map (fun s -> f.(s)) arg_slots in
+        let args = List.map (box f) arg_slots in
         let rvs = (force st cache entry) args in
         set_result_list op result_slots f rvs)
 
@@ -642,7 +839,7 @@ and compile_for ctx op : code =
       let ind_s = slot ctx parts.Scf.induction in
       let arg_slots = slot_array ctx parts.Scf.iter_args in
       let res_slots = slot_array ctx (Op.results op) in
-      let body = compile_seq ctx parts.Scf.body in
+      let body = compile_block ctx parts.Scf.body in
       (* Iter values live in the block-arg slots across iterations: a
          trailing yield writes them back, results read them at exit. *)
       let yield_copy =
@@ -651,22 +848,22 @@ and compile_for ctx op : code =
           when Scf.is_yield last
                && List.length (Op.operands last) = Array.length arg_slots ->
           copy_slots ~src:(slot_array ctx (Op.operands last)) ~dst:arg_slots
-        | _ -> fun _ -> ()
+        | _ -> nop
       in
       let init_copy = copy_slots ~src:init_slots ~dst:arg_slots in
       let res_copy = copy_slots ~src:arg_slots ~dst:res_slots in
       let ind_id = Value.id parts.Scf.induction in
       let st = ctx.st in
       fun f ->
-        let lb = Rtval.as_int f.(lb_s) in
-        let ub = Rtval.as_int f.(ub_s) in
-        let step = Rtval.as_int f.(step_s) in
+        let lb = read_int f lb_s in
+        let ub = read_int f ub_s in
+        let step = read_int f step_s in
         if step <= 0 then error "scf.for requires a positive step";
         init_copy f;
         let i = ref lb in
         while !i < ub do
-          f.(ind_s) <- Rtval.Int !i;
-          run_seq st body f;
+          set_int f ind_s !i;
+          body f;
           yield_copy f;
           i := !i + step
         done;
@@ -684,7 +881,7 @@ and compile_if ctx op : code =
     let c = slot ctx cond in
     let res_slots = slot_array ctx (Op.results op) in
     let compile_branch ops =
-      let codes = compile_seq ctx ops in
+      let body = compile_block ctx ops in
       let after =
         match List.rev ops with
         | last :: _
@@ -694,25 +891,19 @@ and compile_if ctx op : code =
         | _ ->
           if Array.length res_slots <> 0 then
             raisef "scf.if with results needs yields"
-          else fun _ -> ()
+          else nop
       in
-      (codes, after)
+      if after == nop then body
+      else fun f ->
+        body f;
+        after f
     in
-    let then_codes, then_after = compile_branch (Op.region_body op 0) in
-    let else_codes, else_after =
+    let then_ = compile_branch (Op.region_body op 0) in
+    let else_ =
       compile_branch
         (if List.length (Op.regions op) > 1 then Op.region_body op 1 else [])
     in
-    let st = ctx.st in
-    fun f ->
-      if Rtval.as_bool f.(c) then begin
-        run_seq st then_codes f;
-        then_after f
-      end
-      else begin
-        run_seq st else_codes f;
-        else_after f
-      end
+    fun f -> if read_bool f c then then_ f else else_ f
 
 and compile_while ctx op : code =
   match Op.regions op with
@@ -723,9 +914,8 @@ and compile_while ctx op : code =
       raisef "malformed scf.while"
     else
       let bind_inits = copy_slots ~src:init_slots ~dst:barg_slots in
-      let before_codes = compile_seq ctx before.Op.body in
+      let before_code = compile_block ctx before.Op.body in
       let res_slots = slot_array ctx (Op.results op) in
-      let st = ctx.st in
       (* The tree-walker only discovers a malformed loop structure after
          running the before-region, so the error closures below execute it
          first — same steps, same side effects. *)
@@ -737,7 +927,7 @@ and compile_while ctx op : code =
           let c = slot ctx c in
           let fwd_slots = slot_array ctx forwarded in
           let aarg_slots = slot_array ctx after.Op.args in
-          let after_codes = compile_seq ctx after.Op.body in
+          let after_code = compile_block ctx after.Op.body in
           if
             Array.length fwd_slots <> Array.length aarg_slots
             || Array.length fwd_slots <> Array.length res_slots
@@ -761,10 +951,10 @@ and compile_while ctx op : code =
               bind_inits f;
               let continue_ = ref true in
               while !continue_ do
-                run_seq st before_codes f;
-                if Rtval.as_bool f.(c) then begin
+                before_code f;
+                if read_bool f c then begin
                   fwd_to_after f;
-                  run_seq st after_codes f;
+                  after_code f;
                   match yield_to_bargs with
                   | Some cp -> cp f
                   | None -> error "scf.while body must end in scf.yield"
@@ -777,64 +967,47 @@ and compile_while ctx op : code =
         | [] ->
           fun f ->
             bind_inits f;
-            run_seq st before_codes f;
+            before_code f;
             error "scf.condition needs a condition")
       | _ ->
         fun f ->
           bind_inits f;
-          run_seq st before_codes f;
+          before_code f;
           error "scf.while before-region must end in scf.condition")
   | _ -> raisef "malformed scf.while"
 
 (* Shared n-dimensional loop nest for omp.parallel_do / acc.loop:
    inclusive upper bounds, all bounds resolved up-front (matching the
    tree-walker's evaluation order), induction variables optional past the
-   block-arg count. *)
+   block-arg count. [b] holds lb, ub, step per dimension. *)
 and compile_nd_loop ctx ~step_err bound_vals iv_vals body_ops : code =
   let bounds =
     Array.of_list
-      (List.map
-         (fun (lb, ub, step) -> (slot ctx lb, slot ctx ub, slot ctx step))
+      (List.concat_map
+         (fun (lb, ub, step) -> [ slot ctx lb; slot ctx ub; slot ctx step ])
          bound_vals)
   in
   let ivs = slot_array ctx iv_vals in
-  let body = compile_seq ctx body_ops in
-  let st = ctx.st in
-  let ndims = Array.length bounds in
-  let rec mk k : (int * int * int) array -> frame -> unit =
-    if k = ndims then fun _ f -> run_seq st body f
+  let body = compile_block ctx body_ops in
+  let ndims = Array.length bounds / 3 in
+  let rec mk k : int array -> frame -> unit =
+    if k = ndims then fun _ f -> body f
     else
+      let iv = if k < Array.length ivs then Some ivs.(k) else None in
       let inner = mk (k + 1) in
-      if k < Array.length ivs then (
-        let iv = ivs.(k) in
-        fun b f ->
-          let lb, ub, step = b.(k) in
-          if step <= 0 then error "%s" step_err;
-          let i = ref lb in
-          while !i <= ub do
-            f.(iv) <- Rtval.Int !i;
-            inner b f;
-            i := !i + step
-          done)
-      else
-        fun b f ->
-        let lb, ub, step = b.(k) in
+      fun b f ->
+        let lb = b.(3 * k) and ub = b.((3 * k) + 1) in
+        let step = b.((3 * k) + 2) in
         if step <= 0 then error "%s" step_err;
         let i = ref lb in
         while !i <= ub do
+          (match iv with Some s -> set_int f s !i | None -> ());
           inner b f;
           i := !i + step
         done
   in
   let runner = mk 0 in
-  fun f ->
-    let b =
-      Array.map
-        (fun (l, u, s) ->
-          (Rtval.as_int f.(l), Rtval.as_int f.(u), Rtval.as_int f.(s)))
-        bounds
-    in
-    runner b f
+  fun f -> runner (Array.map (read_int f) bounds) f
 
 and compile_parallel_do ctx op : code =
   match Omp.loop_parts op with

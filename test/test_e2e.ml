@@ -310,6 +310,30 @@ let backend_cli_tests =
             check Alcotest.string "identical output" vout rout));
   ]
 
+(* --- every help page renders --- *)
+
+let help_tests =
+  [
+    tc "ftnc and every subcommand render --help without a cmdliner error"
+      (fun () ->
+        List.iter
+          (fun sub ->
+            let code, out, err =
+              cli_capture (Fmt.str "../bin/ftnc.exe %s --help=plain" sub)
+            in
+            let page = if sub = "" then "ftnc" else "ftnc " ^ sub in
+            check Alcotest.int (page ^ " exits 0") 0 code;
+            check Alcotest.bool (page ^ " has a NAME section") true
+              (contains out "NAME");
+            check Alcotest.bool (page ^ " prints no cmdliner error") false
+              (contains (out ^ err) "cmdliner error"))
+          [ ""; "compile"; "stages"; "synth"; "run"; "dse"; "backends" ]);
+  ]
+
 let () =
   Alcotest.run "e2e"
-    [ ("pipeline", e2e_tests); ("backend-cli", backend_cli_tests) ]
+    [
+      ("pipeline", e2e_tests);
+      ("backend-cli", backend_cli_tests);
+      ("help", help_tests);
+    ]

@@ -448,6 +448,67 @@ let memory_tests engine =
         let state = Interp.make ~engine [ Op.module_op [ fn ] ] in
         check (Alcotest.list rtval) "2x2 iterations" [ Rtval.Int 4 ]
           (Interp.run state ~entry:"f" ~args:[]));
+    tc "errors mid-block leave the tree-walker's steps and message"
+      (fun () ->
+        (* Each body is one straight-line run followed by a return; the
+           failing op is the [steps]-th op executed. *)
+        let run ?max_steps body_fn =
+          let b = Builder.create () in
+          let fn =
+            Func_d.func ~sym_name:"f" ~args:[] ~result_tys:[]
+              (body_fn b @ [ Func_d.return () ])
+          in
+          let state = Interp.make ~engine ?max_steps [ Op.module_op [ fn ] ] in
+          let outcome =
+            try
+              ignore (Interp.run state ~entry:"f" ~args:[]);
+              "ok"
+            with Interp.Interp_error s | Invalid_argument s -> s
+          in
+          (outcome, state.Interp.steps)
+        in
+        let outcome = Alcotest.(pair string int) in
+        let oob_load b =
+          let buf = Memref_d.alloca b (Types.memref_static [ 4 ] Types.F32) in
+          let i = Arith.const_index b 4 in
+          let one = Arith.const_f32 b 1.0 in
+          let ld = Memref_d.load b (Op.result1 buf) [ Op.result1 i ] in
+          let s = Arith.addf b (Op.result1 ld) (Op.result1 one) in
+          [ buf; i; one; ld; s ]
+        in
+        check outcome "out-of-bounds load"
+          ("index 4 out of bounds for dimension of size 4", 4)
+          (run oob_load);
+        check outcome "division by zero" ("integer division by zero", 3)
+          (run (fun b ->
+               let x = Arith.const_i32 b 7 in
+               let z = Arith.const_i32 b 0 in
+               let q = Arith.divsi b (Op.result1 x) (Op.result1 z) in
+               let r = Arith.addi b (Op.result1 q) (Op.result1 x) in
+               [ x; z; q; r ]));
+        check outcome "rank-2 store, second index out of bounds"
+          ("index 3 out of bounds for dimension of size 3", 5)
+          (run (fun b ->
+               let buf =
+                 Memref_d.alloca b (Types.memref_static [ 2; 3 ] Types.F64)
+               in
+               let i = Arith.const_index b 1 in
+               let j = Arith.const_index b 3 in
+               let v = Arith.const_f64 b 2.5 in
+               let st =
+                 Memref_d.store (Op.result1 v) (Op.result1 buf)
+                   [ Op.result1 i; Op.result1 j ]
+               in
+               [ buf; i; j; v; st ]));
+        check outcome "step limit inside a straight-line run"
+          ("step limit exceeded", 3)
+          (run ~max_steps:2 oob_load);
+        check outcome "limit exactly at the run's end" ("step limit exceeded", 4)
+          (run ~max_steps:3 (fun b ->
+               let x = Arith.const_i32 b 7 in
+               let y = Arith.addi b (Op.result1 x) (Op.result1 x) in
+               let z = Arith.muli b (Op.result1 y) (Op.result1 x) in
+               [ x; y; z ])));
     tc "print intrinsics capture output" (fun () ->
         let m =
           Ftn_frontend.Frontend.to_core
@@ -547,6 +608,60 @@ let engine_tests =
         check Alcotest.int "same steps" steps_tree steps_comp;
         (* sum over i in 0..7 of 2i *)
         check (Alcotest.list rtval) "value" [ Rtval.Int 56 ] r_comp);
+    tc "tree and compiled agree across every slot file" (fun () ->
+        (* f32, f64, integer and logical values; rank-1 and rank-2
+           arrays; intrinsics, branches and a while loop — every typed
+           form of the compiled engine, checked against the tree-walker
+           on output and steps. *)
+        let m =
+          Ftn_frontend.Frontend.to_core
+            {|program mix
+  implicit none
+  integer, parameter :: n = 6
+  real :: x(n), m(n, 3)
+  double precision :: d(n)
+  integer :: k(n), i, j, s
+  logical :: flags(n)
+  real :: acc, q
+  double precision :: dacc
+  acc = 0.0
+  dacc = 0.0d0
+  s = 0
+  do i = 1, n
+    x(i) = real(i) * 0.1 - 0.35
+    d(i) = dble(i) / 3.0d0
+    k(i) = mod(i * 7, 5) - 2
+    flags(i) = x(i) > 0.0
+  end do
+  do j = 1, 3
+    do i = 1, n
+      m(i, j) = x(i) * real(j) + abs(x(i))
+    end do
+  end do
+  do i = 1, n
+    q = sqrt(abs(x(i))) + exp(x(i)) - max(x(i), 0.1) + min(x(i), -0.2)
+    if (flags(i)) then
+      acc = acc + q * m(i, 2)
+    else
+      acc = acc - q / (m(i, 3) + 1.0)
+    end if
+    dacc = dacc + d(i) * d(i)
+    s = s + max(k(i), 0) - min(k(i), 1) + mod(k(i) + 10, 3)
+  end do
+  i = 10
+  do while (i > 0)
+    s = s + i / 3
+    i = i - 2
+  end do
+  print *, acc, dacc, s, flags(1), flags(n), m(n, 3)
+end program mix
+|}
+        in
+        let tree = Ftn_runtime.Executor.run_cpu ~engine:`Tree m in
+        let comp = Ftn_runtime.Executor.run_cpu ~engine:`Compiled m in
+        check Alcotest.(pair string int) "same output and steps" tree comp;
+        check Alcotest.bool "ran the program" true
+          (Astring_like.contains (fst comp) "F T"));
     tc "compiled functions are cached per state" (fun () ->
         let b = Builder.create () in
         let x = Builder.fresh b Types.I32 in

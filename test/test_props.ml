@@ -510,14 +510,15 @@ let over_release_reported =
          >= !overs)
 
 (* Differential testing of the two interpreter engines: random programs
-   mixing straight-line arith, scf.if and scf.for must produce identical
-   results AND identical step counts under the tree-walker and the
-   closure compiler. *)
+   mixing straight-line arith (including divisions that may hit zero),
+   scf.if and scf.for must produce identical results or error messages
+   AND identical step counts under the tree-walker and the closure
+   compiler, with or without a step limit. *)
 let interp_program_gen =
   let open QCheck.Gen in
   let* choices =
     list_size (int_range 4 16)
-      (pair (int_range 0 5) (pair (int_range 0 20) (int_range 0 20)))
+      (pair (int_range 0 6) (pair (int_range 0 20) (int_range 0 20)))
   in
   return
     (let b = Builder.create () in
@@ -562,6 +563,7 @@ let interp_program_gen =
                   let ivc = Arith.index_cast b iv Types.I32 in
                   let s = Arith.addi b (List.hd args) (Op.result1 ivc) in
                   [ ivc; s; Scf.yield ~operands:[ Op.result1 s ] () ]))
+         | 5 -> emit_val (Arith.divsi b (pick a) (pick c))
          | _ ->
            let cmp = Arith.cmpi b Arith.Sgt (pick a) (pick c) in
            emit cmp;
@@ -574,18 +576,32 @@ let interp_program_gen =
            (List.rev (Func_d.return ~operands:[ last ] () :: !ops));
        ])
 
+(* [limit] picks the step limit: [None] runs unlimited; [Some k] lands
+   anywhere in [0, steps + 1] of the unlimited tree run, so limits fall
+   inside straight-line runs, on their boundaries and just past the end. *)
 let engines_differential =
-  QCheck.Test.make ~count:60
+  QCheck.Test.make ~count:120
     ~name:"tree and compiled engines agree on results and steps"
-    (QCheck.make interp_program_gen ~print:Printer.to_string)
-    (fun m ->
+    (QCheck.make
+       QCheck.Gen.(
+         pair interp_program_gen (opt (int_range 0 10_000)))
+       ~print:(fun (m, limit) ->
+         Printer.to_string m
+         ^ match limit with None -> "" | Some k -> Fmt.str "\nlimit %d" k))
+    (fun (m, limit) ->
       Verifier.verify_exn m;
-      let run engine =
-        let state = Ftn_interp.Interp.make ~engine [ m ] in
-        let r = Ftn_interp.Interp.run state ~entry:"f" ~args:[] in
+      let run ?max_steps engine =
+        let state = Ftn_interp.Interp.make ?max_steps ~engine [ m ] in
+        let r =
+          try Ok (Ftn_interp.Interp.run state ~entry:"f" ~args:[])
+          with Ftn_interp.Interp.Interp_error s -> Error s
+        in
         (r, state.Ftn_interp.Interp.steps)
       in
-      run `Tree = run `Compiled)
+      let max_steps =
+        Option.map (fun k -> k mod (snd (run `Tree) + 2)) limit
+      in
+      run ?max_steps `Tree = run ?max_steps `Compiled)
 
 
 (* --- cross-backend differential property --- *)
