@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check bench bench-rewrite bench-compile bench-interp bench-fault bench-profile bench-backend bench-sched bench-chaos clean
+.PHONY: all build test check bench bench-rewrite bench-interp bench-fault bench-profile bench-backend bench-sched bench-chaos clean
 
 all: build
 
@@ -18,7 +18,6 @@ check: ## build everything, run the full test suite, every example, and the rewr
 	  dune exec examples/$$name.exe > /dev/null || exit 1; \
 	done
 	$(MAKE) bench-rewrite
-	$(MAKE) bench-compile
 	$(MAKE) bench-interp
 	$(MAKE) bench-fault
 	$(MAKE) bench-profile
@@ -31,9 +30,6 @@ bench:
 
 bench-rewrite: ## worklist vs sweep comparison; fails unless patterns fired, outputs agree and the worklist wins on wall clock on every case
 	dune exec bench/main.exe -- --rewrite --quick
-
-bench-compile: ## domain-parallel pipeline gate; fails unless artifacts are byte-identical across domain counts (and >= 1.5x d4 speedup on >= 4-core machines)
-	dune exec bench/main.exe -- --compile --quick
 
 bench-interp: ## tree-walker vs closure-compiled interpreter; fails unless outputs agree and compiled is >= 3x faster
 	dune exec bench/main.exe -- --interp --quick

@@ -17,11 +17,6 @@ let skip_bechamel = Array.exists (String.equal "--skip-bechamel") Sys.argv
    which doubles as the `make bench-rewrite` sanity gate. *)
 let rewrite_only = Array.exists (String.equal "--rewrite") Sys.argv
 
-(* --compile runs only the domain-parallel compile-pipeline gate
-   (BENCH_compile.json), which doubles as the `make bench-compile`
-   sanity gate. *)
-let compile_only = Array.exists (String.equal "--compile") Sys.argv
-
 (* --interp runs only the interpreter-engine comparison (BENCH_interp.json),
    which doubles as the `make bench-interp` sanity gate. *)
 let interp_only = Array.exists (String.equal "--interp") Sys.argv
@@ -663,17 +658,12 @@ type rewrite_measurement = {
   rm_canon : string;  (** Renumbered printed artifacts. *)
 }
 
-let median_of xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 let canon_module = function
   | Some m -> Ftn_ir.Printer.to_string (fst (Ftn_ir.Op.renumber m))
   | None -> "<none>"
 
-(* The three compiled artifacts, canonically renumbered so driver- or
-   domain-count-dependent SSA numbering cannot mask structural identity. *)
+(* The three compiled artifacts, canonically renumbered so
+   driver-dependent SSA numbering cannot mask structural identity. *)
 let canon_compiled (c : Ftn_passes.Pipeline.compiled) =
   canon_module (Some c.Ftn_passes.Pipeline.host)
   ^ "\n====\n"
@@ -837,239 +827,6 @@ let rewrite_report () =
   Fmt.pr "  wrote BENCH_rewrite.json@.";
   if !failures <> [] then begin
     List.iter (fun s -> Fmt.epr "rewrite bench FAILED: %s@." s) (List.rev !failures);
-    exit 1
-  end
-
-(* --- BENCH_compile.json: domain-parallel compile pipeline gate.
-   Compiles the many-kernel module with the legacy sequential pipeline
-   and with the partitioned pipeline on 1, 2 and 4 domains, gating:
-     - byte-identity of the canonically renumbered artifacts across all
-       domain counts, and of domains>=1 vs renumber(sequential) — the
-       determinism contract of Pass.run_pipeline_parallel;
-     - program output under --compile-domains 4 equal to the legacy
-       sequential path and the CPU interpreter reference;
-     - >= 1.5x mid-end wall speedup of 4 domains over 1 domain — only
-       enforced when the machine actually has >= 4 cores
-       (Domain.recommended_domain_count); a 1-core CI container cannot
-       speed anything up by parallelism, so there the speedup is
-       recorded informationally and identity remains the hard gate.
-   Also records a per-stage compile-time breakdown (SAXPY at production
-   N and the many-kernel case) and prints per-stage wall deltas against
-   the previous BENCH_compile.json, if one is on disk. *)
-
-let options_with_domains domains =
-  {
-    Core.Options.default with
-    Core.Options.pipeline =
-      {
-        Ftn_passes.Pipeline.default_options with
-        Ftn_passes.Pipeline.domains;
-      };
-  }
-
-let read_json_file path =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Ftn_obs.Json.parse s with Ok j -> Some j | Error _ -> None
-  end
-  else None
-
-let json_member key = function
-  | Ftn_obs.Json.Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let json_path keys j =
-  List.fold_left
-    (fun acc k -> Option.bind acc (json_member k))
-    (Some j) keys
-
-let json_float = function
-  | Some (Ftn_obs.Json.Float f) -> Some f
-  | Some (Ftn_obs.Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let compile_report () =
-  header "Compile pipeline comparison (BENCH_compile.json)";
-  let mk_kernels = if quick then 12 else 32 in
-  let mk_n = if quick then 512 else 4096 in
-  let saxpy_n = if quick then 1_000_000 else 10_000_000 in
-  let reps = if quick then 5 else 7 in
-  let cores = Domain.recommended_domain_count () in
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
-  let mk_name = Fmt.str "many_kernels_k%d" mk_kernels in
-  let src = Ftn_linpack.Fortran_sources.many_kernels ~kernels:mk_kernels ~n:mk_n in
-  let core = Ftn_frontend.Frontend.to_core src in
-  let mid domains =
-    let options =
-      {
-        Ftn_passes.Pipeline.default_options with
-        Ftn_passes.Pipeline.domains;
-      }
-    in
-    Ftn_passes.Pipeline.run_mid_end ~options core
-  in
-  progress "  compile bench: %s identity ..." mk_name;
-  let c0 = mid 0 and c1 = mid 1 and c2 = mid 2 and c4 = mid 4 in
-  let k0 = canon_compiled c0
-  and k1 = canon_compiled c1
-  and k2 = canon_compiled c2
-  and k4 = canon_compiled c4 in
-  let id_12 = String.equal k1 k2 and id_14 = String.equal k1 k4 in
-  let id_seq = String.equal k1 k0 in
-  if not id_12 then fail "%s: domains=1 and domains=2 artifacts differ" mk_name;
-  if not id_14 then fail "%s: domains=1 and domains=4 artifacts differ" mk_name;
-  if not id_seq then
-    fail "%s: parallel artifacts differ from the renumbered sequential output"
-      mk_name;
-  (* program output: full run through --compile-domains 4 vs the legacy
-     sequential path and the CPU reference, at an interpretable size *)
-  let run_src =
-    Ftn_linpack.Fortran_sources.many_kernels ~kernels:mk_kernels
-      ~n:(if quick then 128 else 256)
-  in
-  let out_par =
-    Core.Run.output (Core.Run.run ~options:(options_with_domains 4) run_src)
-  in
-  let out_seq =
-    Core.Run.output (Core.Run.run ~options:(options_with_domains 0) run_src)
-  in
-  let cpu_out, _ = Core.Run.run_cpu run_src in
-  let output_ok = String.equal out_par out_seq && String.equal out_par cpu_out in
-  if not (String.equal out_par out_seq) then
-    fail "%s: --compile-domains 4 program output differs from sequential" mk_name;
-  if not (String.equal out_par cpu_out) then
-    fail "%s: program output differs from the CPU interpreter reference" mk_name;
-  (* wall: median-of-reps mid-end per domain count *)
-  let wall domains =
-    ignore (mid domains);
-    median_of
-      (List.init reps (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (mid domains);
-           Unix.gettimeofday () -. t0))
-  in
-  progress "  compile bench: %s wall ..." mk_name;
-  let w0 = wall 0 and w1 = wall 1 and w2 = wall 2 and w4 = wall 4 in
-  let speedup = w1 /. Float.max 1e-9 w4 in
-  let speedup_gated = cores >= 4 in
-  if speedup_gated && speedup < 1.5 then
-    fail
-      "%s: 4-domain mid-end wall speedup %.2fx is below the 1.5x target on a \
-       %d-core machine"
-      mk_name speedup cores;
-  Fmt.pr
-    "  %-20s seq %6.2f ms | d1 %6.2f ms | d2 %6.2f ms | d4 %6.2f ms | %.2fx \
-     d4-vs-d1 (%d cores%s)@."
-    mk_name (w0 *. 1e3) (w1 *. 1e3) (w2 *. 1e3) (w4 *. 1e3) speedup cores
-    (if speedup_gated then ", gated >= 1.5x" else ", speedup informational");
-  (* per-stage compile-time breakdown; a pass name recurring across the
-     host and device pipelines (canonicalize) gets a #k suffix so the
-     object keys — and the regression lookup below — stay unique *)
-  let stage_obj (c : Ftn_passes.Pipeline.compiled) =
-    let seen = Hashtbl.create 8 in
-    Ftn_obs.Json.Obj
-      (List.filter_map
-         (fun (s : Ftn_ir.Pass.stage_record) ->
-           if String.equal s.Ftn_ir.Pass.stage_name "input" then None
-           else begin
-             let n =
-               1
-               + Option.value ~default:0
-                   (Hashtbl.find_opt seen s.Ftn_ir.Pass.stage_name)
-             in
-             Hashtbl.replace seen s.Ftn_ir.Pass.stage_name n;
-             let key =
-               if n = 1 then s.Ftn_ir.Pass.stage_name
-               else Fmt.str "%s#%d" s.Ftn_ir.Pass.stage_name n
-             in
-             Some (key, Ftn_obs.Json.Float (s.Ftn_ir.Pass.elapsed_s *. 1e3))
-           end)
-         c.Ftn_passes.Pipeline.stages)
-  in
-  let saxpy_name = Fmt.str "saxpy_n%d" saxpy_n in
-  progress "  compile bench: %s stages ..." saxpy_name;
-  let saxpy_compiled =
-    Ftn_passes.Pipeline.run_mid_end
-      (Ftn_frontend.Frontend.to_core
-         (Ftn_linpack.Fortran_sources.saxpy ~n:saxpy_n))
-  in
-  (* regression summary: per-stage wall deltas vs the previous report *)
-  let previous = read_json_file "BENCH_compile.json" in
-  let report_stage_deltas case_name stages_json =
-    match previous with
-    | None -> ()
-    | Some prev ->
-      (match stages_json with
-      | Ftn_obs.Json.Obj stages ->
-        List.iter
-          (fun (stage, v) ->
-            match
-              ( json_float (Some v),
-                json_float
-                  (json_path [ "cases"; case_name; "stages"; stage ] prev) )
-            with
-            | Some now, Some before when before > 1e-9 ->
-              let delta = (now -. before) /. before *. 100.0 in
-              if Float.abs delta >= 1.0 then
-                Fmt.pr "    %s/%s: %.2f -> %.2f ms (%+.0f%%)@." case_name
-                  stage before now delta
-            | _ -> ())
-          stages
-      | _ -> ())
-  in
-  let saxpy_stages = stage_obj saxpy_compiled in
-  let mk_stages = stage_obj c1 in
-  if previous <> None then
-    Fmt.pr "  per-stage wall deltas vs previous BENCH_compile.json:@.";
-  report_stage_deltas saxpy_name saxpy_stages;
-  report_stage_deltas mk_name mk_stages;
-  let j =
-    Ftn_obs.Json.Obj
-      [
-        ("cores", Ftn_obs.Json.Int cores);
-        ( "cases",
-          Ftn_obs.Json.Obj
-            [
-              ( mk_name,
-                Ftn_obs.Json.Obj
-                  [
-                    ("kernels", Ftn_obs.Json.Int mk_kernels);
-                    ("reps", Ftn_obs.Json.Int reps);
-                    ( "identity",
-                      Ftn_obs.Json.Obj
-                        [
-                          ("domains_1_vs_2", Ftn_obs.Json.Bool id_12);
-                          ("domains_1_vs_4", Ftn_obs.Json.Bool id_14);
-                          ("parallel_vs_sequential", Ftn_obs.Json.Bool id_seq);
-                          ("program_output", Ftn_obs.Json.Bool output_ok);
-                        ] );
-                    ( "wall_ms",
-                      Ftn_obs.Json.Obj
-                        [
-                          ("sequential", Ftn_obs.Json.Float (w0 *. 1e3));
-                          ("domains_1", Ftn_obs.Json.Float (w1 *. 1e3));
-                          ("domains_2", Ftn_obs.Json.Float (w2 *. 1e3));
-                          ("domains_4", Ftn_obs.Json.Float (w4 *. 1e3));
-                        ] );
-                    ("speedup_domains_4_vs_1", Ftn_obs.Json.Float speedup);
-                    ("speedup_target", Ftn_obs.Json.Float 1.5);
-                    ("speedup_gated", Ftn_obs.Json.Bool speedup_gated);
-                    ("stages", mk_stages);
-                  ] );
-              ( saxpy_name,
-                Ftn_obs.Json.Obj [ ("stages", saxpy_stages) ] );
-            ] );
-      ]
-  in
-  Ftn_obs.Json.write_file "BENCH_compile.json" j;
-  Fmt.pr "  wrote BENCH_compile.json@.";
-  if !failures <> [] then begin
-    List.iter
-      (fun s -> Fmt.epr "compile bench FAILED: %s@." s)
-      (List.rev !failures);
     exit 1
   end
 
@@ -2228,11 +1985,6 @@ let () =
     Fmt.pr "@.done.@.";
     exit 0
   end;
-  if compile_only then begin
-    compile_report ();
-    Fmt.pr "@.done.@.";
-    exit 0
-  end;
   if interp_only then begin
     interp_report ();
     Fmt.pr "@.done.@.";
@@ -2279,7 +2031,6 @@ let () =
   ablation_burst ();
   obs_report ();
   rewrite_report ();
-  compile_report ();
   interp_report ();
   fault_report ();
   backend_report ();

@@ -260,35 +260,11 @@ let backend_term =
   in
   Term.(const make $ backend_arg)
 
-let domains_term =
-  let arg =
-    Arg.(
-      value & opt int 0
-      & info [ "compile-domains" ] ~docv:"N"
-          ~doc:
-            "Fan independent per-kernel pass runs across $(docv) OCaml \
-             domains in the device pipelines. The partitioned pipeline's \
-             output is deterministic and byte-identical for every \
-             $(docv) >= 1; 0 (the default) keeps the legacy sequential \
-             pipeline.")
-  in
-  let make n =
-    if n < 0 then begin
-      Fmt.epr "error: --compile-domains must be >= 0@.";
-      exit 1
-    end;
-    n
-  in
-  Term.(const make $ arg)
-
-let options_for ?(domains = 0) backend =
-  let default = Core.Options.default in
+let options_for backend =
   {
-    default with
+    Core.Options.default with
     Core.Options.backend;
     xclbin_name = Ftn_backend.Backend.default_binary backend;
-    pipeline =
-      { default.Core.Options.pipeline with Ftn_passes.Pipeline.domains };
   }
 
 (* --- arguments --- *)
@@ -506,11 +482,11 @@ let sched_term =
 (* --- commands --- *)
 
 let compile_cmd =
-  let run source emit backend domains obs =
+  let run source emit backend obs =
     handle_errors (fun () ->
         with_obs obs @@ fun () ->
         let artifacts =
-          Core.Compiler.compile ~options:(options_for ~domains backend)
+          Core.Compiler.compile ~options:(options_for backend)
             ~file:source
             ~engine:Ftn_diag.Diag_engine.default (read_source source) in
         let print_module name m_opt =
@@ -543,15 +519,14 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile and print an intermediate artifact.")
     Term.(
-      const run $ source_arg $ emit_arg $ backend_term $ domains_term
-      $ obs_term)
+      const run $ source_arg $ emit_arg $ backend_term $ obs_term)
 
 let stages_cmd =
-  let run source backend domains obs =
+  let run source backend obs =
     handle_errors (fun () ->
         with_obs obs @@ fun () ->
         let artifacts =
-          Core.Compiler.compile ~options:(options_for ~domains backend)
+          Core.Compiler.compile ~options:(options_for backend)
             ~file:source
             ~engine:Ftn_diag.Diag_engine.default (read_source source) in
         List.iter
@@ -560,13 +535,13 @@ let stages_cmd =
   in
   Cmd.v
     (Cmd.info "stages" ~doc:"Show per-pass timing and op counts.")
-    Term.(const run $ source_arg $ backend_term $ domains_term $ obs_term)
+    Term.(const run $ source_arg $ backend_term $ obs_term)
 
 let synth_cmd =
-  let run source output backend domains obs =
+  let run source output backend obs =
     handle_errors (fun () ->
         with_obs obs @@ fun () ->
-        let options = options_for ~domains backend in
+        let options = options_for backend in
         let artifacts = Core.Compiler.compile ~options ~file:source
             ~engine:Ftn_diag.Diag_engine.default (read_source source) in
         let bs = Core.Compiler.synthesise ~options artifacts in
@@ -587,17 +562,16 @@ let synth_cmd =
   Cmd.v
     (Cmd.info "synth" ~doc:"Run the selected backend's synthesis flow.")
     Term.(
-      const run $ source_arg $ output_arg $ backend_term $ domains_term
-      $ obs_term)
+      const run $ source_arg $ output_arg $ backend_term $ obs_term)
 
 let run_term =
-  let run source report trace cpu xclbin backend domains (fault_plan, retry)
+  let run source report trace cpu xclbin backend (fault_plan, retry)
       (devices, jobs, fault_device, deadline_s, tenant_quota, breaker,
        shed_watermark) obs =
     handle_errors (fun () ->
         with_obs obs @@ fun () ->
         let options =
-          { (options_for ~domains backend) with
+          { (options_for backend) with
             Core.Options.fault_plan; retry; devices; jobs; deadline_s;
             tenant_quota; breaker; shed_watermark }
         in
@@ -662,7 +636,7 @@ let run_term =
   in
   Term.(
     const run $ source_arg $ report_arg $ trace_arg $ cpu_arg $ xclbin_arg
-    $ backend_term $ domains_term $ fault_term $ sched_term $ obs_term)
+    $ backend_term $ fault_term $ sched_term $ obs_term)
 
 let run_cmd =
   Cmd.v
@@ -672,7 +646,7 @@ let run_cmd =
     run_term
 
 let dse_cmd =
-  let run source budget backend domains obs =
+  let run source budget backend obs =
     handle_errors (fun () ->
         with_obs obs @@ fun () ->
         let spec =
@@ -686,7 +660,7 @@ let dse_cmd =
             exit 1
         in
         let artifacts =
-          Core.Compiler.compile ~options:(options_for ~domains backend)
+          Core.Compiler.compile ~options:(options_for backend)
             ~file:source
             ~engine:Ftn_diag.Diag_engine.default (read_source source) in
         match artifacts.Core.Compiler.device_hls with
@@ -703,8 +677,7 @@ let dse_cmd =
                 let ks = Ftn_hlsim.Schedule.analyse_kernel spec op in
                 Fmt.pr "kernel %s:@." ks.Ftn_hlsim.Schedule.fn_name;
                 match
-                  Ftn_hlsim.Dse.explore_kernel ~spec ?lut_budget:budget
-                    ~domains ks
+                  Ftn_hlsim.Dse.explore_kernel ~spec ?lut_budget:budget ks
                 with
                 | Some r -> Fmt.pr "%a" Ftn_hlsim.Dse.pp r
                 | None -> Fmt.pr "  (no pipelined loop)@."
@@ -723,8 +696,7 @@ let dse_cmd =
        ~doc:
          "Explore the unroll design space of each kernel's pipelined loop.")
     Term.(
-      const run $ source_arg $ budget_arg $ backend_term $ domains_term
-      $ obs_term)
+      const run $ source_arg $ budget_arg $ backend_term $ obs_term)
 
 let backends_cmd =
   let run () =

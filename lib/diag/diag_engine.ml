@@ -23,8 +23,8 @@ let error_count t = t.errors
 let warning_count t = t.warnings
 let has_errors t = t.errors > 0
 
-(* Emission is serialised: passes running on worker domains may warn
-   (e.g. rewrite nonconvergence) while the main domain compiles. *)
+(* Emission is serialised: compiles on several domains at once may all
+   warn (e.g. rewrite nonconvergence) into the shared [default] engine. *)
 let emit_mu = Mutex.create ()
 
 let emit t d =

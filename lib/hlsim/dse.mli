@@ -22,7 +22,6 @@ val explore :
   ?frontend:Resources.frontend ->
   ?factors:int list ->
   ?lut_budget:int ->
-  ?domains:int ->
   Schedule.kernel_schedule ->
   Schedule.loop_info ->
   result
@@ -32,13 +31,9 @@ val explore_kernel :
   ?frontend:Resources.frontend ->
   ?factors:int list ->
   ?lut_budget:int ->
-  ?domains:int ->
   Schedule.kernel_schedule ->
   result option
-(** Explore the kernel's first pipelined loop; [None] if there is none.
-    [domains > 1] fans candidate evaluation across that many OCaml
-    domains; the result is merged in ascending-unroll order, identical to
-    the sequential result for any domain count. *)
+(** Explore the kernel's first pipelined loop; [None] if there is none. *)
 
 val pp_candidate : Format.formatter -> candidate -> unit
 val pp : Format.formatter -> result -> unit

@@ -203,10 +203,10 @@ let with_module_body op body =
    and block args) is reassigned a fresh id in pre-order traversal
    position, starting at [start]. Operands defined inside the tree are
    remapped; free values keep their original ids. Returns the next free
-   id, so callers can thread the counter across a sequence of trees
-   (Pass.run_pipeline_parallel renumbers the merged module this way to
-   make partitioned pipeline output independent of how fresh ids were
-   allocated per partition). *)
+   id, so callers can thread the counter across a sequence of trees.
+   Pipeline.run_mid_end renumbers each device module this way, so the
+   emitted device artifacts do not depend on how the passes allocated
+   fresh ids. *)
 let renumber ?(start = 0) op =
   let map = Hashtbl.create 256 in
   let next = ref start in

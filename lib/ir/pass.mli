@@ -24,7 +24,9 @@ val run_pipeline :
   Op.t ->
   Op.t * stage_record list
 (** Run passes in order. The record list includes an initial ["input"]
-    entry. [verify_between] runs {!Verifier.verify_exn} after each pass. *)
+    entry. [verify_between] runs {!Verifier.verify_exn} after each pass,
+    in a ["verify.<pass>"] span outside the pass's own ["pass.<pass>"]
+    span and its record's [elapsed_s]. *)
 
 val run_pipeline_exn :
   ?verify_between:bool ->
@@ -32,30 +34,5 @@ val run_pipeline_exn :
   t list ->
   Op.t ->
   Op.t
-
-val run_pipeline_parallel :
-  ?verify_between:bool ->
-  ?domains:int ->
-  t list ->
-  Op.t ->
-  Op.t * stage_record list
-(** Run the pipeline over each top-level op of a module independently,
-    fanned across [domains] OCaml domains (static contiguous chunks; the
-    calling domain takes the first), then merge in the original top-level
-    order, dedupe declaration-only symbol ops, and canonically renumber
-    the merged module ({!Op.renumber}). The renumbering makes the output
-    a pure function of the input module and pass list: byte-identical for
-    any domain count, and — for function-local passes — equal to
-    [Op.renumber] applied to the sequential {!run_pipeline} result.
-    Requires passes that treat top-level ops independently (all lowering
-    passes up to the module-reordering LLVM conversion qualify). Falls
-    back to sequential {!run_pipeline} for non-modules, single-op modules
-    and modules with cross-unit value references. Per-pass
-    [stage_record]s report wall/alloc summed across units (CPU cost, not
-    elapsed wall of the parallel section). The first failing unit's
-    exception is re-raised, regardless of domain interleaving. *)
-
-val run_pipeline_parallel_exn :
-  ?verify_between:bool -> ?domains:int -> t list -> Op.t -> Op.t
 
 val pp_stage : Format.formatter -> stage_record -> unit

@@ -87,10 +87,8 @@ type stats = {
   converged : bool;
 }
 
-(* The module wrapper op is not counted as a visit: per-function pass
-   partitioning (Pass.run_pipeline_parallel) wraps each top-level op in
-   its own module, and keeping wrapper visits out of the totals makes the
-   rewrite metrics partition-invariant. *)
+(* The module wrapper op is not counted as a visit: the totals count the
+   ops a pass rewrites, not the container holding them. *)
 let counted name = not (String.equal name "builtin.module")
 
 (* --- cycle-guarded, path-compressing substitution resolution --- *)
@@ -206,8 +204,8 @@ let warn_nonconverged ~budget ~unit_name last_fired =
 (* Firing counts and attributed wall time per pattern name, process-wide
    (patterns are shared across pass instances). Only populated while
    [Ftn_obs.Profile.on] — the timing calls would otherwise tax every
-   match attempt of every compile. Guarded by a mutex: pass pipelines may
-   run rewrites from several domains concurrently. *)
+   match attempt of every compile. Guarded by a mutex: callers may compile
+   on several domains at once, all sharing this table. *)
 type pattern_stat = {
   mutable ps_attempts : int;
   mutable ps_fired : int;

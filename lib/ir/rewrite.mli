@@ -88,9 +88,7 @@ val default_driver : unit -> driver
 type stats = {
   ops_visited : int;
       (** Ops examined (sweep: every op, every sweep). [builtin.module]
-          wrapper ops are not counted, so totals are invariant under
-          per-function module partitioning
-          ({!Pass.run_pipeline_parallel}). *)
+          wrapper ops are not counted. *)
   patterns_fired : int;
   ops_folded : int;
   ops_erased : int;  (** Trivially-dead ops removed by the driver. *)
@@ -101,7 +99,7 @@ val pattern_profile : unit -> (string * int * int * float) list
 (** Per-pattern profiling data — [(name, attempts, fired, seconds)] —
     accumulated process-wide while [Ftn_obs.Profile.on] is set, sorted by
     attributed time descending. Empty when profiling never ran.
-    Mutex-guarded: safe to populate from concurrent domains. *)
+    Mutex-guarded: compiles on concurrent domains may share it. *)
 
 val reset_pattern_profile : unit -> unit
 

@@ -16,8 +16,8 @@ val data_regions : n:int -> string
 
 val many_kernels : kernels:int -> n:int -> string
 (** [kernels] distinct offload regions over shared arrays (every other
-    one a simd region), yielding that many independent device kernels —
-    the compile-time workload for the domain-parallel pipelines. *)
+    one a simd region), yielding that many independent device kernels:
+    a compile-heavy workload for the rewrite and compile benchmarks. *)
 
 val stencil : n:int -> steps:int -> string
 (** 1-D heat-diffusion stencil: two kernels per timestep inside one

@@ -73,11 +73,10 @@ let create () = { metrics = Hashtbl.create 32 }
 let default = create ()
 
 (* One process-wide lock guards every registry (mutations and reads):
-   pass pipelines and DSE sweeps report from concurrent domains, and a
-   lost counter increment would make parallel compiles observably differ
-   from sequential ones. Contention is negligible — updates are a few
-   machine instructions — and a single lock keeps [merge_into] trivially
-   deadlock-free. *)
+   callers may compile or run on several domains at once, all reporting
+   into the shared [default] registry, and a lost counter increment
+   would make such a run's metrics differ from a solo run's. Contention
+   is negligible: updates are a few machine instructions. *)
 let mu = Mutex.create ()
 
 let locked f = Mutex.protect mu f
@@ -98,20 +97,17 @@ let get_metric ?(registry = default) name make =
     Hashtbl.replace registry.metrics name m;
     m
 
-let incr_unlocked ?registry ?(by = 1) name =
-  match get_metric ?registry name (fun () -> Counter (ref 0)) with
-  | Counter r -> r := !r + by
-  | _ -> kind_error name
-
-let incr ?registry ?by name = locked (fun () -> incr_unlocked ?registry ?by name)
-
-let set_gauge_unlocked ?registry name v =
-  match get_metric ?registry name (fun () -> Gauge (ref 0.0)) with
-  | Gauge r -> r := v
-  | _ -> kind_error name
+let incr ?registry ?(by = 1) name =
+  locked (fun () ->
+      match get_metric ?registry name (fun () -> Counter (ref 0)) with
+      | Counter r -> r := !r + by
+      | _ -> kind_error name)
 
 let set_gauge ?registry name v =
-  locked (fun () -> set_gauge_unlocked ?registry name v)
+  locked (fun () ->
+      match get_metric ?registry name (fun () -> Gauge (ref 0.0)) with
+      | Gauge r -> r := v
+      | _ -> kind_error name)
 
 let fresh_histogram () =
   {
@@ -135,30 +131,6 @@ let observe ?registry name v =
         let k = bucket_index v in
         h.buckets.(k) <- h.buckets.(k) + 1
       | _ -> kind_error name)
-
-(* Merge [src] into [dst] bucket-wise: same layout by construction. *)
-let merge_into ~src ~dst =
-  locked (fun () ->
-      Hashtbl.iter
-        (fun name m ->
-          match m with
-          | Counter r -> incr_unlocked ~registry:dst ~by:!r name
-          | Gauge r -> set_gauge_unlocked ~registry:dst name !r
-          | Histogram h -> (
-            match
-              get_metric ~registry:dst name (fun () ->
-                  Histogram (fresh_histogram ()))
-            with
-            | Histogram d ->
-              d.count <- d.count + h.count;
-              d.sum <- d.sum +. h.sum;
-              d.min_v <- Float.min d.min_v h.min_v;
-              d.max_v <- Float.max d.max_v h.max_v;
-              Array.iteri
-                (fun k n -> d.buckets.(k) <- d.buckets.(k) + n)
-                h.buckets
-            | _ -> kind_error name))
-        src.metrics)
 
 let freeze = function
   | Counter r -> Counter_v !r

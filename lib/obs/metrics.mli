@@ -33,10 +33,6 @@ val incr : ?registry:t -> ?by:int -> string -> unit
 val set_gauge : ?registry:t -> string -> float -> unit
 val observe : ?registry:t -> string -> float -> unit
 
-val merge_into : src:t -> dst:t -> unit
-(** Fold [src] into [dst]: counters add, gauges take [src]'s last value,
-    histograms merge bucket-wise (identical layouts by construction). *)
-
 val find : ?registry:t -> string -> value option
 
 val counter_value : ?registry:t -> string -> int

@@ -28,9 +28,9 @@ type t = {
 
 let create () = { spans = []; stack = []; next_id = 0 }
 
-(* The ambient collector is domain-local: spans from worker domains
-   (parallel pass pipelines, DSE sweeps) land in per-domain collectors
-   instead of racing on the main trace's mutable span list. *)
+(* The ambient collector is domain-local: when callers compile or run on
+   several domains at once, each domain's spans land in its own collector
+   instead of racing on one mutable span list. *)
 let ambient = Domain.DLS.new_key create
 let current () = Domain.DLS.get ambient
 let set_current c = Domain.DLS.set ambient c

@@ -11,15 +11,16 @@
 open Ftn_ir
 open Ftn_dialects
 
-let kernel_counter = ref 0
-
-let fresh_kernel_name enclosing =
-  incr kernel_counter;
-  Fmt.str "%s_kernel_%d" enclosing !kernel_counter
+(* Kernel ordinals come from a counter owned by one [run], so names are
+   a pure function of the input module, whatever else the process is
+   compiling. *)
+let fresh_kernel_name counter enclosing =
+  incr counter;
+  Fmt.str "%s_kernel_%d" enclosing !counter
 
 (* --- step 1: omp.target -> device.kernel_* --- *)
 
-let target_to_kernel =
+let target_to_kernel counter =
   Rewrite.pattern ~roots:[ "omp.target" ] "omp-target-to-kernel-ops"
     (fun ctx op ->
       let b = Rewrite.builder ctx in
@@ -29,7 +30,7 @@ let target_to_kernel =
         | Some fn -> Option.value ~default:"kernel" (Func_d.func_name fn)
         | None -> "kernel"
       in
-      let name = fresh_kernel_name enclosing in
+      let name = fresh_kernel_name counter enclosing in
       let blk = Op.region_block op 0 in
       (* strip the omp.terminator; the outlined function will return *)
       let body =
@@ -58,14 +59,9 @@ let target_to_kernel =
              Op.set_loc (Device.kernel_wait handle) loc;
            ]))
 
-(* the pattern set is options-independent: compile its root index once *)
-let to_kernel_compiled = Rewrite.compile [ target_to_kernel ]
-
-let to_kernel_ops m = Rewrite.apply_compiled to_kernel_compiled m
-
 (* --- step 2: outline kernel regions into a device module --- *)
 
-let outline_kernel device_funcs =
+let outline_kernel counter device_funcs =
   Rewrite.pattern ~roots:[ "device.kernel_create" ] "outline-kernel-region"
     (fun ctx op ->
       match Op.regions op with
@@ -74,7 +70,7 @@ let outline_kernel device_funcs =
         let name =
           match Device.kernel_function op with
           | Some n -> n
-          | None -> fresh_kernel_name "kernel"
+          | None -> fresh_kernel_name counter "kernel"
         in
         (* Any free values used by the region beyond its block args become
            extra kernel arguments. *)
@@ -113,21 +109,17 @@ let outline_kernel device_funcs =
              ])
       | _ -> None)
 
-let outline m =
+let outline counter m =
   let device_funcs = ref [] in
-  let m' = Rewrite.apply [ outline_kernel device_funcs ] m in
+  let m' = Rewrite.apply [ outline_kernel counter device_funcs ] m in
   if !device_funcs = [] then m'
   else begin
     let device_module = Builtin.device_module (List.rev !device_funcs) in
     Op.with_module_body m' (Op.module_body m' @ [ device_module ])
   end
 
-(* Kernel names must be a pure function of the input module, not of how
-   many compiles this process ran before: reset the ordinal per run so
-   repeated compiles (bench reps, identity checks) name kernels
-   identically. *)
 let run m =
-  kernel_counter := 0;
-  outline (to_kernel_ops m)
+  let counter = ref 0 in
+  outline counter (Rewrite.apply [ target_to_kernel counter ] m)
 
 let pass = Pass.make "lower-omp-target-region" run

@@ -330,10 +330,50 @@ let help_tests =
           [ ""; "compile"; "stages"; "synth"; "run"; "dse"; "backends" ]);
   ]
 
+(* --- concurrent compiles --- *)
+
+(* The first line where [got] departs from [want], if any. *)
+let first_diff want got =
+  let rec go i = function
+    | w :: ws, g :: gs ->
+      if String.equal w g then go (i + 1) (ws, gs)
+      else Some (Fmt.str "line %d: %S vs %S" i w g)
+    | [], [] -> None
+    | _ -> Some (Fmt.str "line %d: lengths differ" i)
+  in
+  go 1 (String.split_on_char '\n' want, String.split_on_char '\n' got)
+
+(* A compile is a pure function of its source: two domains compiling the
+   same many-kernel module at once must each produce the host C++ a solo
+   compile does, kernel names included. *)
+let concurrency_tests =
+  [
+    tc "two domains compiling many_kernels at once match a solo compile"
+      (fun () ->
+        let src = Ftn_linpack.Fortran_sources.many_kernels ~kernels:12 ~n:64 in
+        let host_cpp () =
+          Option.get (Core.Compiler.compile src).Core.Compiler.host_cpp
+        in
+        let solo = host_cpp () in
+        for trial = 1 to 20 do
+          let other = Domain.spawn host_cpp in
+          let mine = host_cpp () in
+          let theirs = Domain.join other in
+          List.iter
+            (fun (who, got) ->
+              check
+                Alcotest.(option string)
+                (Fmt.str "trial %d, %s domain" trial who)
+                None (first_diff solo got))
+            [ ("calling", mine); ("spawned", theirs) ]
+        done);
+  ]
+
 let () =
   Alcotest.run "e2e"
     [
       ("pipeline", e2e_tests);
       ("backend-cli", backend_cli_tests);
       ("help", help_tests);
+      ("concurrency", concurrency_tests);
     ]

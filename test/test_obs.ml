@@ -148,21 +148,6 @@ let domain_tests =
           check Alcotest.bool "gauge holds one of the written values" true
             (v >= 1.0 && v <= float_of_int iters)
         | _ -> Alcotest.fail "expected gauge");
-    tc "merge_into from 4 domains loses nothing" (fun () ->
-        let dst = Metrics.create () in
-        let iters = 2_000 in
-        let work () =
-          let local = Metrics.create () in
-          for _ = 1 to iters do
-            Metrics.incr ~registry:local "merged.count"
-          done;
-          Metrics.merge_into ~src:local ~dst
-        in
-        let workers = List.init 3 (fun _ -> Domain.spawn work) in
-        work ();
-        List.iter Domain.join workers;
-        check Alcotest.int "merged total" (4 * iters)
-          (Metrics.counter_value ~registry:dst "merged.count"));
   ]
 
 let log_tests =
@@ -399,25 +384,6 @@ let quantile_tests =
         in
         check Alcotest.bool "no quantile" true
           (Metrics.quantile empty 0.5 = None));
-    tc "merge_into adds counters and merges buckets" (fun () ->
-        let a = Metrics.create () and b = Metrics.create () in
-        Metrics.incr ~registry:a ~by:2 "c";
-        Metrics.incr ~registry:b ~by:3 "c";
-        Metrics.observe ~registry:a "h" 1e-6;
-        Metrics.observe ~registry:b "h" 1e-3;
-        Metrics.observe ~registry:b "h" 1e-3;
-        Metrics.merge_into ~src:a ~dst:b;
-        check Alcotest.int "counter" 5 (Metrics.counter_value ~registry:b "c");
-        match Metrics.find ~registry:b "h" with
-        | Some (Metrics.Histogram_v { count; min_v; max_v; _ } as v) ->
-          check Alcotest.int "count" 3 count;
-          check (Alcotest.float 1e-12) "min" 1e-6 min_v;
-          check (Alcotest.float 1e-12) "max" 1e-3 max_v;
-          check Alcotest.bool "median in upper mass" true
-            (match Metrics.quantile v 0.5 with
-            | Some m -> m > 1e-5
-            | None -> false)
-        | _ -> Alcotest.fail "expected a histogram");
   ]
 
 (* --- empty-histogram rendering (the count=0 sentinel fix) --- *)
